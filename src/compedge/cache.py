@@ -1,8 +1,9 @@
 """Content-addressed on-disk cache for oracle results.
 
 Keys hash the canonical JSON serialization of the ideal together with the
-operation name and its parameters, so identical subcomputations met again
-across sweeps (powers, localizations) are read back instead of recomputed.
+operation name, its parameters and the oracle version, so identical
+subcomputations met again across sweeps (powers, localizations) are read
+back instead of recomputed, and entries written by an older oracle are not.
 Writes go through a temp file plus atomic rename: concurrent readers never
 see partial entries, and concurrent writers of the same key are idempotent.
 """
@@ -18,12 +19,16 @@ from pathlib import Path
 from .ideals import MonomialIdeal
 
 ENV_CACHE_DIR = "COMPEDGE_CACHE_DIR"
+# Bump whenever an oracle's kernel changes, so that entries written by an
+# earlier kernel are never served.
+ORACLE_VERSION = 2
 
 
 def cache_key(I: MonomialIdeal, operation: str, params: dict) -> str:
     payload = {
         "ideal": I.to_json_dict(),
         "operation": operation,
+        "oracle_version": ORACLE_VERSION,
         "params": {k: params[k] for k in sorted(params)},
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

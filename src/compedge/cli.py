@@ -24,9 +24,10 @@ from .graphs import (
     triangles,
 )
 from .ideals import MonomialIdeal, complementary_edge_ideal, power
-from .resolution import betti_table, reg_pd_depth
+from .resolution import DEFAULT_QUOTIENTS_LIMIT, betti_table, reg_pd_depth
 from .verify import (
     ALL_CHECKS,
+    DEFAULT_DIVISOR_LIMIT,
     SweepConfig,
     markdown_summary,
     normalize_checks,
@@ -85,8 +86,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the report to this path instead of stdout")
     sub.add_argument("--format", choices=("json", "markdown"), default="markdown")
     sub.add_argument("--budget-ms", type=float, default=None, help="per-graph time budget")
-    sub.add_argument("--divisor-limit", type=int, default=1_000_000)
-    sub.add_argument("--lq-limit", type=int, default=24, help="generator cap for the linear-quotients search")
+    sub.add_argument("--divisor-limit", type=int, default=DEFAULT_DIVISOR_LIMIT)
+    sub.add_argument("--lq-limit", type=int, default=DEFAULT_QUOTIENTS_LIMIT, help="generator cap for the linear-quotients search")
     sub.add_argument("--cache-dir", default=os.environ.get(ENV_CACHE_DIR), help=f"oracle cache directory (default ${ENV_CACHE_DIR})")
 
 

@@ -4,6 +4,10 @@ Every ideal is stored as its unique minimal generating set, sorted by
 (total degree, lex on exponent vectors), so equality of ideals is equality
 of generator sequences.  The zero ideal has no generators, the unit ideal
 has the single generator 1.  All operations are pure.
+
+The oracles that scan the divisor box of an ideal all read one table,
+:func:`divisor_counts`, the number of minimal generators dividing each box
+monomial.
 """
 
 from __future__ import annotations
@@ -468,22 +472,30 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
 
 
 # ---------------------------------------------------------------------------
-# divisor-box membership, shared by the homology and witness-search oracles
+# the divisor-count table, read by every box-scanning oracle
 
 
-def membership_box(I: MonomialIdeal, bound: Monomial) -> np.ndarray:
-    """Membership table of I over the divisor box of ``bound``.
+def divisor_counts(I: MonomialIdeal, bound: Monomial) -> np.ndarray:
+    """Divisor-count table of I over the divisor box of ``bound``.
 
-    Returns a boolean array of shape (bound_1+1, ..., bound_n+1) whose cell
-    at index u says whether x^u lies in I.  Only generators inside the box
-    can divide a box point, so the table is filled with one slice per such
-    generator.
+    Returns an int array of shape (bound_1+1, ..., bound_n+1) whose cell at
+    index a counts the minimal generators of I that divide x^a.  Each
+    generator inside the box is added at its own cell, and one cumulative
+    sum per axis carries it to every cell above it.  Membership of x^a in I
+    is ``C[a] > 0``; the witness scans and the lcm lattice read the same
+    table.
     """
     if bound.ambient != I.ambient:
         raise ValueError("ambient mismatch")
-    shape = tuple(e + 1 for e in bound.exponents)
-    table = np.zeros(shape, dtype=bool)
-    for g in I.generators:
-        if all(a <= b for a, b in zip(g.exponents, bound.exponents)):
-            table[tuple(slice(e, None) for e in g.exponents)] = True
-    return table
+    counts = np.zeros(tuple(e + 1 for e in bound.exponents), dtype=np.int32)
+    gens = I.exponent_matrix()
+    inside = gens[(gens <= np.array(bound.exponents)).all(axis=1)]
+    np.add.at(counts, tuple(inside.T), 1)
+    for axis in range(counts.ndim):
+        np.cumsum(counts, axis=axis, out=counts)
+    return counts
+
+
+def membership_box(I: MonomialIdeal, bound: Monomial) -> np.ndarray:
+    """Boolean table over the divisor box of ``bound``: is x^u in I."""
+    return divisor_counts(I, bound) > 0

@@ -3,27 +3,32 @@
 The oracle is Hochster-style: beta_{i,a}(I) is the rank of the reduced
 homology H~_{i-1} of the upper-Koszul complex of I at the multidegree a,
 and only multidegrees in the lcm lattice of the generators can carry a
-nonzero rank.  Regularity, projective dimension and depth are read off the
-table; the table itself is computed per characteristic so that field
-(in)dependence is an observable, not an assumption.
+nonzero rank.  Both the lattice and the upper-Koszul faces are read off one
+divisor-count table over the divisor box of the generator lcm
+(:func:`compedge.ideals.divisor_counts`); a box of more than
+``BOX_CELL_LIMIT`` cells raises :class:`LimitExceededError`.  Regularity,
+projective dimension and depth are read off the Betti table; the table
+itself is computed per characteristic so that field (in)dependence is an
+observable, not an assumption.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .ideals import LimitExceededError, MonomialIdeal, graded_component
+from .ideals import LimitExceededError, MonomialIdeal, divisor_counts, graded_component
 from .monomials import Monomial
 
 DEFAULT_PRIME = 2
 DEFAULT_GROUND_LIMIT = 12
 DEFAULT_LATTICE_LIMIT = 50_000
-DEFAULT_BOX_LIMIT = 5_000_000
-DEFAULT_QUOTIENTS_LIMIT = 24
+BOX_CELL_LIMIT = 5_000_000
+DEFAULT_QUOTIENTS_LIMIT = 2000
 
 _SMALL_PRIMES = frozenset(
     {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
@@ -299,56 +304,23 @@ class BettiTable:
         }
 
 
-def _lcm_lattice_points(
-    gens: np.ndarray, bound: np.ndarray, lattice_limit: int, box_limit: int
-) -> np.ndarray:
-    """All joins of nonempty generator subsets, without enumerating subsets.
+def _lcm_lattice(counts: np.ndarray, lattice_limit: int) -> np.ndarray:
+    """The joins of nonempty generator subsets, as rows of exponents.
 
-    A box point a is such a join exactly when it equals the join of the
-    generators below it (and at least one generator lies below it), so the
-    lattice is a filter over the divisor box of the generator lcm.
+    ``counts`` is the :func:`~compedge.ideals.divisor_counts` table over the
+    divisor box of the generator lcm.  A box cell a is such a join exactly
+    when some generator divides x^a and, for every i with a_i > 0, some
+    generator below a has i-th exponent a_i, i.e. C[a] > C[a - e_i].
     """
-    shape = tuple(int(b) + 1 for b in bound)
-    cells = int(np.prod([s for s in shape], dtype=np.int64))
-    if cells > box_limit:
-        return _lcm_lattice_points_iterative(gens, lattice_limit)
-    axes = [np.arange(s, dtype=np.int16) for s in shape]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(cells, -1)
-    points = []
-    chunk = max(1, 2_000_000 // max(1, gens.shape[0] * gens.shape[1]))
-    for start in range(0, cells, chunk):
-        block = grid[start : start + chunk]
-        below = (gens[None, :, :] <= block[:, None, :]).all(axis=2)
-        joined = np.where(below[:, :, None], gens[None, :, :], 0).max(axis=1)
-        ok = below.any(axis=1) & (joined == block).all(axis=1)
-        points.append(block[ok])
-    out = np.concatenate(points, axis=0)
-    if out.shape[0] > lattice_limit:
+    keep = counts > 0
+    for axis in range(counts.ndim):
+        keep &= np.diff(counts, axis=axis, prepend=0) > 0
+    points = np.argwhere(keep)
+    if points.shape[0] > lattice_limit:
         raise LimitExceededError(
-            f"lcm lattice has {out.shape[0]} points, limit {lattice_limit}"
+            f"lcm lattice has {points.shape[0]} points, limit {lattice_limit}"
         )
-    return out
-
-
-def _lcm_lattice_points_iterative(gens: np.ndarray, lattice_limit: int) -> np.ndarray:
-    """Pairwise-join closure; fallback when the divisor box is too large."""
-    seen: set[tuple[int, ...]] = {tuple(int(x) for x in g) for g in gens}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            ta = np.array(t, dtype=np.int16)
-            for s in list(seen):
-                j = tuple(int(x) for x in np.maximum(ta, np.array(s, dtype=np.int16)))
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-                    if len(seen) > lattice_limit:
-                        raise LimitExceededError(
-                            f"lcm lattice exceeds limit {lattice_limit}"
-                        )
-        frontier = nxt
-    return np.array(sorted(seen), dtype=np.int16)
+    return points
 
 
 @lru_cache(maxsize=None)
@@ -362,39 +334,32 @@ def betti_table(
     I: MonomialIdeal,
     p: int = DEFAULT_PRIME,
     lattice_limit: int = DEFAULT_LATTICE_LIMIT,
-    box_limit: int = DEFAULT_BOX_LIMIT,
 ) -> BettiTable:
     """Multigraded Betti table of I over F_p via upper-Koszul homology."""
     _check_prime(p)
     if not I.is_proper:
         raise ValueError("Betti table needs a nonzero, non-unit ideal")
-    return _betti_table_cached(I, p, lattice_limit, box_limit)
+    cells = math.prod(e + 1 for e in I.lcm_of_generators().exponents)
+    if cells > BOX_CELL_LIMIT:
+        raise LimitExceededError(
+            f"divisor box has {cells} cells, limit {BOX_CELL_LIMIT}"
+        )
+    return _betti_table_cached(I, p, lattice_limit)
 
 
 @lru_cache(maxsize=200_000)
-def _betti_table_cached(
-    I: MonomialIdeal, p: int, lattice_limit: int, box_limit: int
-) -> BettiTable:
-    gens = I.exponent_matrix().astype(np.int16)
-    bound = gens.max(axis=0)
-    points = _lcm_lattice_points(gens, bound, lattice_limit, box_limit)
-    shape = tuple(int(b) + 1 for b in bound)
-    table = np.zeros(shape, dtype=bool)
-    for g in I.generators:
-        table[tuple(slice(e, None) for e in g.exponents)] = True
-    flat = table.reshape(-1)
-    strides = np.array(
-        [int(np.prod(shape[i + 1 :], dtype=np.int64)) for i in range(len(shape))],
-        dtype=np.int64,
-    )
+def _betti_table_cached(I: MonomialIdeal, p: int, lattice_limit: int) -> BettiTable:
+    counts = divisor_counts(I, I.lcm_of_generators())
+    points = _lcm_lattice(counts, lattice_limit)
+    member = (counts > 0).reshape(-1)
+    strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     for a in points:
         supp = np.nonzero(a)[0]
         g = len(supp)
         cands = np.repeat(a[None, :], 1 << g, axis=0)
         cands[:, supp] -= _subset_bits(g)
-        idx = cands.astype(np.int64) @ strides
-        flags = flat[idx]
+        flags = member[cands @ strides]
         face_masks = frozenset(int(m) for m in np.nonzero(flags)[0])
         ranks = _homology_ranks_masks(face_masks, p)
         if ranks:

@@ -1,20 +1,23 @@
 """Brute-force oracles and the census sweep harness.
 
-The oracles know nothing about the closed forms: associated primes come
-from an exhaustive colon-witness search over the divisors of the generator
-lcm, depth zero from a socle-witness search, v-numbers from the same
-witness space.  Restricting witnesses to divisors of lcm(G(I)) loses
-nothing: if (I : u) = P then (I : gcd(u, lcm)) = P, since exponents of u
-above the lcm never affect divisibility by a generator.  The fuzz suite
-cross-validates this against the independent localization/socle route.
+The oracles know nothing about the closed forms.  Associated primes,
+v-numbers and depth zero all come from one exhaustive scan of the divisors
+u of the generator lcm for prime colon ideals (I : u) = P_F, read off the
+divisor-count table of :func:`compedge.ideals.divisor_counts`; a socle
+witness is the case F = all variables.  Restricting witnesses to divisors
+of lcm(G(I)) loses nothing: if (I : u) = P then (I : gcd(u, lcm)) = P,
+since exponents of u above the lcm never affect divisibility by a
+generator.  The fuzz suite cross-validates this against the independent
+localization/socle route.  The sweep scans each power once per graph.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -27,17 +30,23 @@ from .ideals import (
     LimitExceededError,
     MonomialIdeal,
     classify_big_degree,
-    colon,
     colon_ideal,
     complementary_edge_ideal,
+    divisor_counts,
     localize,
-    membership_box,
     multiply,
     power,
     symbolic_power,
 )
-from .monomials import Monomial, variable
-from .resolution import betti_table, has_linear_quotients, is_componentwise_linear, reg_pd_depth
+from .monomials import Monomial
+from .resolution import (
+    DEFAULT_QUOTIENTS_LIMIT,
+    HomologicalInvariants,
+    betti_table,
+    has_linear_quotients,
+    is_componentwise_linear,
+    reg_pd_depth,
+)
 
 DEFAULT_DIVISOR_LIMIT = 1_000_000
 REPORT_SCHEMA_VERSION = 1
@@ -48,53 +57,71 @@ def _require_proper(I: MonomialIdeal) -> None:
         raise ValueError("oracle needs a nonzero, non-unit ideal")
 
 
-def _divisor_grid(bound: Monomial) -> np.ndarray:
-    """All divisor exponent vectors of ``bound`` as rows, in the same order
-    as :func:`compedge.monomials.divisors`."""
-    axes = [np.arange(e + 1, dtype=np.int16) for e in bound.exponents]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return grid.reshape(-1, bound.ambient)
-
-
-def _divisor_count(bound: Monomial) -> int:
-    out = 1
-    for e in bound.exponents:
-        out *= e + 1
-    return out
-
-
 def _mask_to_set(mask: int, n: int) -> frozenset[int]:
     return frozenset(i for i in range(n) if mask >> i & 1)
 
 
-def _colon_prime_scan(I: MonomialIdeal, divisor_limit: int):
-    """Yield (exponents, degree, prime mask) for every divisor u of the
-    generator lcm with (I : u) a monomial prime."""
+@dataclass(frozen=True)
+class VWitness:
+    v: int
+    witness: Monomial
+    prime: frozenset[int]
+
+
+@dataclass(frozen=True)
+class _Witnesses:
+    """Every divisor u of the generator lcm with (I : u) = P_F, as rows of
+    ``exps``, and the bitmask of its F in ``masks``."""
+
+    ambient: int
+    exps: np.ndarray
+    masks: np.ndarray
+
+    def primes(self) -> set[frozenset[int]]:
+        return {_mask_to_set(int(m), self.ambient) for m in np.unique(self.masks)}
+
+    def least(self, mask: int | None = None) -> VWitness | None:
+        """The witness least by (degree, exponents), among those with prime
+        ``mask`` when one is given."""
+        rows = np.arange(self.masks.size) if mask is None else np.flatnonzero(self.masks == mask)
+        if rows.size == 0:
+            return None
+        exps = self.exps[rows]
+        best = rows[np.lexsort(np.vstack([exps.T[::-1], exps.sum(axis=1)]))[0]]
+        u = tuple(int(x) for x in self.exps[best])
+        return VWitness(sum(u), Monomial(u), _mask_to_set(int(self.masks[best]), self.ambient))
+
+
+def _prime_colon_witnesses(I: MonomialIdeal, divisor_limit: int) -> _Witnesses:
+    """Scan the divisor box of the generator lcm for prime colon ideals.
+
+    (I : u) = P_F exactly when u is not in I, F = {i : x_i u in I} is
+    nonempty, and u with every exponent outside F raised to the lcm's is
+    still not in I.  A step past the lcm in coordinate i never enters I, so
+    membership is read from the divisor-count table alone.
+    """
     bound = I.lcm_of_generators()
-    count = _divisor_count(bound)
+    count = math.prod(e + 1 for e in bound.exponents)
     if count > divisor_limit:
         raise LimitExceededError(
             f"witness space has {count} divisors, limit {divisor_limit}"
         )
-    gens = I.exponent_matrix().astype(np.int16)
-    m, n = gens.shape
-    grid = _divisor_grid(bound)
-    bits = 1 << np.arange(n, dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(1, m * n))
-    for start in range(0, grid.shape[0], chunk):
-        u = grid[start : start + chunk]
-        quot = np.maximum(
-            gens[None, :, :].astype(np.int32) - u[:, None, :], 0
-        )
-        deg = quot.sum(axis=2)
-        member = (deg == 0).any(axis=1)
-        sup = ((quot > 0) * bits[None, None, :]).sum(axis=2)
-        fmask = np.bitwise_or.reduce(np.where(deg == 1, sup, 0), axis=1)
-        meets = (sup & fmask[:, None]) != 0
-        ok = ~member & (fmask != 0) & meets.all(axis=1)
-        for row in np.nonzero(ok)[0]:
-            exps = tuple(int(x) for x in u[row])
-            yield exps, sum(exps), int(fmask[row])
+    counts = divisor_counts(I, bound)
+    member = (counts > 0).reshape(-1)
+    strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
+    cap = bound.exponents
+    u = np.flatnonzero(~member)
+    coords = np.unravel_index(u, counts.shape)
+    fmask = np.zeros(u.size, dtype=np.int64)
+    for i in range(I.ambient):
+        # at the cap, index u itself, which is not in I
+        up = member[np.where(coords[i] < cap[i], u + strides[i], u)]
+        fmask |= up.astype(np.int64) << i
+    raised = u.copy()
+    for i in range(I.ambient):
+        raised += np.where(fmask >> i & 1, 0, (cap[i] - coords[i]) * strides[i])
+    ok = (fmask != 0) & ~member[raised]
+    return _Witnesses(I.ambient, np.stack(coords, axis=1)[ok], fmask[ok])
 
 
 def ass_oracle(
@@ -103,15 +130,10 @@ def ass_oracle(
     """Associated primes by exhaustive colon-witness search.
 
     F is reported exactly when (I : u) = P_F for some divisor u of the lcm
-    of the minimal generators; a colon ideal counts as prime exactly when
-    its minimal generators are single variables.
+    of the minimal generators.
     """
     _require_proper(I)
-    n = I.ambient
-    return {
-        _mask_to_set(mask, n)
-        for _, _, mask in _colon_prime_scan(I, divisor_limit)
-    }
+    return _prime_colon_witnesses(I, divisor_limit).primes()
 
 
 def depth_zero_oracle(
@@ -123,21 +145,10 @@ def depth_zero_oracle(
     quotient has depth zero.  Returns the canonically smallest witness.
     """
     _require_proper(I)
-    bound = I.lcm_of_generators()
-    if _divisor_count(bound) > divisor_limit:
-        raise LimitExceededError(
-            f"witness space has {_divisor_count(bound)} divisors, limit {divisor_limit}"
-        )
-    socle = ~membership_box(I, bound)
-    if not socle.any():
+    best = _prime_colon_witnesses(I, divisor_limit).least((1 << I.ambient) - 1)
+    if best is None:
         return False, None
-    for i in range(I.ambient):
-        socle &= membership_box(colon(I, variable(i, I.ambient)), bound)
-        if not socle.any():
-            return False, None
-    hits = np.argwhere(socle)
-    best = min((int(row.sum()), tuple(int(x) for x in row)) for row in hits)
-    return True, Monomial(best[1])
+    return True, best.witness
 
 
 def stable_ass_localization(
@@ -166,31 +177,19 @@ def stable_ass_localization(
     return out
 
 
-@dataclass(frozen=True)
-class VWitness:
-    v: int
-    witness: Monomial
-    prime: frozenset[int]
-
-
 def v_oracle(
     I: MonomialIdeal, divisor_limit: int = DEFAULT_DIVISOR_LIMIT
 ) -> VWitness:
     """Least degree of a monomial u with (I : u) prime, with the witness.
 
-    Ties are broken by the canonical monomial order, then by the smaller
-    prime, so reports are reproducible.
+    Ties are broken by the canonical monomial order, so reports are
+    reproducible.
     """
     _require_proper(I)
-    n = I.ambient
-    best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
-    for exps, deg, mask in _colon_prime_scan(I, divisor_limit):
-        key = (deg, exps, tuple(sorted(_mask_to_set(mask, n))))
-        if best is None or key < best:
-            best = key
+    best = _prime_colon_witnesses(I, divisor_limit).least()
     if best is None:
         raise ValueError("no prime colon ideal found; is the input proper?")
-    return VWitness(best[0], Monomial(best[1]), frozenset(best[2]))
+    return best
 
 
 def local_v_oracle(
@@ -200,21 +199,13 @@ def local_v_oracle(
 ) -> VWitness:
     """v-number at the fixed prime P_F; errors if F is not associated."""
     _require_proper(I)
-    n = I.ambient
     target = frozenset(F)
-    tmask = sum(1 << i for i in target)
-    best: tuple[int, tuple[int, ...]] | None = None
-    for exps, deg, mask in _colon_prime_scan(I, divisor_limit):
-        if mask != tmask:
-            continue
-        key = (deg, exps)
-        if best is None or key < best:
-            best = key
+    best = _prime_colon_witnesses(I, divisor_limit).least(sum(1 << i for i in target))
     if best is None:
         raise ValueError(
             f"P_{{{','.join(str(i + 1) for i in sorted(target))}}} is not associated"
         )
-    return VWitness(best[0], Monomial(best[1]), target)
+    return best
 
 
 @dataclass(frozen=True)
@@ -307,7 +298,7 @@ class SweepConfig:
     checks: tuple[str, ...] = ALL_CHECKS
     primes: tuple[int, ...] = (2, 3)
     divisor_limit: int = DEFAULT_DIVISOR_LIMIT
-    lq_limit: int = 24
+    lq_limit: int = DEFAULT_QUOTIENTS_LIMIT
     budget_ms: float | None = None
     cache_dir: str | None = None
 
@@ -368,7 +359,11 @@ class _BudgetExceeded(Exception):
 
 
 class _GraphState:
-    """Lazily computed shared state for one sweep graph."""
+    """Lazily computed shared state for one sweep graph.
+
+    Each power I^k is scanned for prime colon witnesses once; the Ass, v,
+    persistence and entry-bound checks all read that one result.
+    """
 
     def __init__(self, g: Graph, cfg: SweepConfig, cache: DiskCache | None):
         self.g = g
@@ -376,9 +371,8 @@ class _GraphState:
         self.cache = cache
         self.ideal = complementary_edge_ideal(g)
         self._powers: list[MonomialIdeal] = [self.ideal]
-        self._asses: list[set[frozenset[int]]] | None = None
         self._cls = None
-        self._invariants: dict[int, object] = {}
+        self._memos: dict[str, dict[int, object]] = {}
 
     def power(self, k: int) -> MonomialIdeal:
         while len(self._powers) < k:
@@ -391,55 +385,56 @@ class _GraphState:
             self._cls = classify_big_degree(self.ideal)
         return self._cls
 
-    def asses(self) -> list[set[frozenset[int]]]:
-        if self._asses is None:
-            out = []
-            for k in range(1, self.cfg.k_max + 1):
-                Ik = self.power(k)
-                cached = None
-                key = None
-                if self.cache is not None:
-                    key = cache_key(
-                        Ik, "ass_oracle", {"divisor_limit": self.cfg.divisor_limit}
-                    )
-                    cached = self.cache.get(key)
-                if cached is not None:
-                    out.append({frozenset(f) for f in cached})
-                else:
-                    found = ass_oracle(Ik, self.cfg.divisor_limit)
-                    if self.cache is not None:
-                        self.cache.put(key, [sorted(f) for f in found])
-                    out.append(found)
-            self._asses = out
-        return self._asses
-
-    def invariants(self, k: int):
-        if k not in self._invariants:
-            Ik = self.power(k)
-            p = self.cfg.primes[0]
-            cached = None
-            key = None
-            if self.cache is not None:
-                key = cache_key(Ik, "reg_pd_depth", {"p": p})
-                cached = self.cache.get(key)
-            if cached is not None:
-                from .resolution import HomologicalInvariants
-
-                self._invariants[k] = HomologicalInvariants(**cached)
+    def _memo(self, operation: str, k: int, params: dict, compute, dump, load):
+        """compute(I^k), kept per graph and, with a cache, on disk as dump()."""
+        memo = self._memos.setdefault(operation, {})
+        if k not in memo:
+            key = None if self.cache is None else cache_key(self.power(k), operation, params)
+            hit = None if key is None else self.cache.get(key)
+            if hit is not None:
+                memo[k] = load(hit)
             else:
-                inv = reg_pd_depth(Ik, p)
-                if self.cache is not None:
-                    self.cache.put(
-                        key,
-                        {
-                            "regularity": inv.regularity,
-                            "pd_quotient": inv.pd_quotient,
-                            "depth": inv.depth,
-                            "depth_support": inv.depth_support,
-                        },
-                    )
-                self._invariants[k] = inv
-        return self._invariants[k]
+                memo[k] = compute(self.power(k))
+                if key is not None:
+                    self.cache.put(key, dump(memo[k]))
+        return memo[k]
+
+    def witnesses(self, k: int) -> tuple[set[frozenset[int]], VWitness]:
+        """Ass(I^k) and the least v-witness of I^k, from one scan."""
+
+        def compute(Ik):
+            found = _prime_colon_witnesses(Ik, self.cfg.divisor_limit)
+            return found.primes(), found.least()
+
+        def dump(value):
+            ass, v = value
+            return {
+                "ass": [sorted(f) for f in ass],
+                "witness": list(v.witness.exponents),
+                "prime": sorted(v.prime),
+            }
+
+        def load(data):
+            u = Monomial(tuple(data["witness"]))
+            v = VWitness(u.degree, u, frozenset(data["prime"]))
+            return {frozenset(f) for f in data["ass"]}, v
+
+        params = {"divisor_limit": self.cfg.divisor_limit}
+        return self._memo("prime_colon_witnesses", k, params, compute, dump, load)
+
+    def asses(self) -> list[set[frozenset[int]]]:
+        return [self.witnesses(k)[0] for k in range(1, self.cfg.k_max + 1)]
+
+    def invariants(self, k: int) -> HomologicalInvariants:
+        p = self.cfg.primes[0]
+        return self._memo(
+            "reg_pd_depth",
+            k,
+            {"p": p},
+            lambda Ik: reg_pd_depth(Ik, p),
+            asdict,
+            lambda data: HomologicalInvariants(**data),
+        )
 
 
 def _check_ass(st: _GraphState, rpt: VerificationReport) -> bool:
@@ -562,7 +557,7 @@ def _check_v(st: _GraphState, rpt: VerificationReport) -> bool:
     g = st.g
     ok = True
     for k in range(1, st.cfg.k_max + 1):
-        wit = v_oracle(st.power(k), st.cfg.divisor_limit)
+        wit = st.witnesses(k)[1]
         predicted = formulas.v_closed_form(g, k)
         entry = rpt.per_k.setdefault(k, {})
         entry["v_oracle"] = wit.v
@@ -599,7 +594,7 @@ def _check_linear(st: _GraphState, rpt: VerificationReport) -> bool:
 
 def _check_betti_field_independence(
     st: _GraphState, rpt: VerificationReport
-) -> bool:
+) -> bool | None:
     if len(st.cfg.primes) < 2:
         rpt.skipped["betti-field-independence"] = "needs at least two primes"
         return None

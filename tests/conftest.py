@@ -18,3 +18,26 @@ def edged_census():
     return {
         n: [g for g in enumerate_labeled_graphs(n) if g.edges] for n in (3, 4, 5)
     }
+
+
+@pytest.fixture(scope="session")
+def random_ideals():
+    """A function giving ``count`` seeded random proper ideals in at most
+    n_max variables with exponents at most e_max."""
+    from compedge.ideals import ideal
+    from compedge.monomials import Monomial
+
+    def make(rng, count, n_max=5, e_max=3):
+        out = []
+        while len(out) < count:
+            n = rng.randint(1, n_max)
+            gens = [
+                Monomial(tuple(rng.randint(0, e_max) for _ in range(n)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            I = ideal(gens, n)
+            if I.is_proper:
+                out.append(I)
+        return out
+
+    return make

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from compedge.cli import main
+from compedge.cli import build_parser, main
 from compedge.graphs import cycle_graph, to_graph6
 
 
@@ -99,6 +99,14 @@ class TestSweep:
         )
         assert code == 1
         assert "## Failures" in out
+
+    def test_limit_defaults_are_the_library_constants(self):
+        from compedge.resolution import DEFAULT_QUOTIENTS_LIMIT
+        from compedge.verify import DEFAULT_DIVISOR_LIMIT, SweepConfig
+
+        args = build_parser().parse_args(["sweep", "--nmax", "3"])
+        assert args.lq_limit == SweepConfig().lq_limit == DEFAULT_QUOTIENTS_LIMIT
+        assert args.divisor_limit == SweepConfig().divisor_limit == DEFAULT_DIVISOR_LIMIT
 
     def test_unknown_check_is_parse_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--nmax", "3", "--checks", "bogus")

@@ -22,6 +22,7 @@ from compedge.ideals import (
     colon,
     colon_ideal,
     complementary_edge_ideal,
+    divisor_counts,
     edge_ideal,
     graded_component,
     ideal,
@@ -88,11 +89,25 @@ class TestMembership:
         assert one(2) in unit_ideal(2)
 
     def test_membership_box_agrees_with_divides(self):
-        I = I_("(x1^2, x2*x3)", 3)
-        bound = parse_monomial("x1^2*x2*x3^2", 3)
-        box = membership_box(I, bound)
+        I = I_("(x1^2, x2*x3, x1*x3^2)", 3)
+        # the second bound leaves the generator x1^2 outside the box
+        for text in ("x1^2*x2*x3^2", "x1*x2*x3^2"):
+            bound = parse_monomial(text, 3)
+            box = membership_box(I, bound)
+            counts = divisor_counts(I, bound)
+            assert counts.shape == box.shape == tuple(e + 1 for e in bound.exponents)
+            for u in divisors(bound):
+                assert box[u.exponents] == (u in I)
+                assert counts[u.exponents] == sum(g.divides(u) for g in I.generators)
+
+    @given(small_ideals)
+    def test_divisor_counts_on_the_lcm_box(self, I):
+        if I.is_zero:
+            return
+        bound = I.lcm_of_generators()
+        counts = divisor_counts(I, bound)
         for u in divisors(bound):
-            assert box[u.exponents] == (u in I)
+            assert counts[u.exponents] == sum(g.divides(u) for g in I.generators)
 
 
 class TestProductPower:

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from compedge.graphs import (
@@ -12,6 +13,7 @@ from compedge.graphs import (
 from compedge.ideals import (
     LimitExceededError,
     complementary_edge_ideal,
+    divisor_counts,
     graded_component,
     ideal,
     parse_ideal,
@@ -21,7 +23,9 @@ from compedge.ideals import (
 )
 from compedge.monomials import Monomial, parse_monomial, x_of_set
 from compedge.resolution import (
+    DEFAULT_LATTICE_LIMIT,
     _boundary_rank,
+    _lcm_lattice,
     betti_table,
     has_linear_quotients,
     has_linear_resolution,
@@ -35,6 +39,19 @@ from compedge.resolution import (
 
 def I_(text, ambient):
     return parse_ideal(text, ambient)
+
+
+def lcm_lattice_reference(I):
+    """Reference lcm lattice, the box filter that preceded the divisor-count
+    table: a divisor a of the generator lcm is a join of generators iff some
+    generator lies below it and the join of those below it equals a."""
+    gens = I.exponent_matrix()
+    axes = [np.arange(e + 1) for e in I.lcm_of_generators().exponents]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, I.ambient)
+    below = (gens[None, :, :] <= grid[:, None, :]).all(axis=2)
+    joined = np.where(below[:, :, None], gens[None, :, :], 0).max(axis=1)
+    ok = below.any(axis=1) & (joined == grid).all(axis=1)
+    return {tuple(a) for a in grid[ok].tolist()}
 
 
 def faces_with_closure(maximal):
@@ -222,20 +239,24 @@ class TestBettiTable:
         with pytest.raises(ValueError):
             betti_table(unit_ideal(2))
 
-    def test_iterative_lattice_fallback_agrees(self):
-        rng = random.Random(7)
-        for _ in range(10):
-            n = rng.randint(2, 4)
-            gens = [
-                Monomial(tuple(rng.randint(0, 2) for _ in range(n)))
-                for _ in range(rng.randint(2, 5))
-            ]
-            I = ideal(gens, n)
-            if not I.is_proper:
-                continue
-            fast = betti_table(I, 2)
-            slow = betti_table(I, 2, box_limit=1)
-            assert fast.entries == slow.entries
+    def test_over_cap_box_raises(self):
+        # lcm x1^9...x7^9 spans 10^7 divisor cells, over BOX_CELL_LIMIT
+        I = ideal([Monomial(tuple(9 * (i == j) for j in range(7))) for i in range(7)], 7)
+        with pytest.raises(LimitExceededError, match="10000000 cells"):
+            betti_table(I)
+
+    def test_lattice_agrees_with_reference(self, edged_census, random_ideals):
+        ideals = random_ideals(random.Random(7), 1000)
+        ideals += [
+            power(complementary_edge_ideal(g), k)
+            for n in (3, 4)
+            for g in edged_census[n]
+            for k in (1, 2, 3)
+        ]
+        for I in ideals:
+            counts = divisor_counts(I, I.lcm_of_generators())
+            got = {tuple(a) for a in _lcm_lattice(counts, DEFAULT_LATTICE_LIMIT).tolist()}
+            assert got == lcm_lattice_reference(I), str(I)
 
     def test_pretty_has_total_row(self):
         text = betti_table(I_("(x1, x2)", 2)).pretty()

@@ -1,8 +1,12 @@
 import json
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import compedge.cache
+import compedge.verify
 from compedge.cache import DiskCache, cache_key
 from compedge.formulas import ass_infinity
 from compedge.graphs import (
@@ -18,14 +22,16 @@ from compedge.ideals import (
     complementary_edge_ideal,
     ideal,
     localize,
+    membership_box,
     minimal_primes_squarefree,
     parse_ideal,
     power,
     unit_ideal,
 )
-from compedge.monomials import Monomial, parse_monomial, x_of_set
+from compedge.monomials import Monomial, parse_monomial, variable, x_of_set
 from compedge.verify import (
     SweepConfig,
+    _prime_colon_witnesses,
     ass_oracle,
     depth_zero_oracle,
     local_v_oracle,
@@ -51,6 +57,35 @@ def fs(*vals):
 
 def paw():
     return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+
+def colon_prime_scan_reference(I):
+    """Reference witness scan, the generator broadcast that preceded the
+    divisor-count table: (u, F-bitmask) for every divisor u of the generator
+    lcm with (I : u) = P_F, read off the quotients g / gcd(g, u)."""
+    gens = I.exponent_matrix()
+    axes = [np.arange(e + 1) for e in I.lcm_of_generators().exponents]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, I.ambient)
+    bits = 1 << np.arange(I.ambient)
+    quot = np.maximum(gens[None, :, :] - grid[:, None, :], 0)
+    deg = quot.sum(axis=2)
+    member = (deg == 0).any(axis=1)
+    sup = ((quot > 0) * bits[None, None, :]).sum(axis=2)
+    fmask = np.bitwise_or.reduce(np.where(deg == 1, sup, 0), axis=1)
+    meets = (sup & fmask[:, None]) != 0
+    ok = ~member & (fmask != 0) & meets.all(axis=1)
+    return {(tuple(grid[r].tolist()), int(fmask[r])) for r in np.flatnonzero(ok)}
+
+
+def depth_zero_reference(I):
+    """Reference socle search: intersect the complement of I with I : x_i
+    over every variable, and take the least cell by (degree, exponents)."""
+    bound = I.lcm_of_generators()
+    socle = ~membership_box(I, bound)
+    for i in range(I.ambient):
+        socle &= membership_box(colon(I, variable(i, I.ambient)), bound)
+    hits = [(int(row.sum()), tuple(row.tolist())) for row in np.argwhere(socle)]
+    return (True, Monomial(min(hits)[1])) if hits else (False, None)
 
 
 class TestAssOracle:
@@ -227,6 +262,28 @@ class TestCache:
         }
         assert len(keys) == 4
 
+    def test_entry_of_an_earlier_oracle_version_is_not_served(self, tmp_path, monkeypatch):
+        g = cycle_graph(4)
+        cfg = SweepConfig(k_max=2, checks=("ass", "v"), cache_dir=str(tmp_path))
+        plain = run_graph_checks(g, SweepConfig(k_max=2, checks=("ass", "v")))
+        current = compedge.cache.ORACLE_VERSION
+
+        # entries written by the earlier version, then made wrong on purpose
+        monkeypatch.setattr(compedge.cache, "ORACLE_VERSION", current - 1)
+        run_graph_checks(g, cfg)
+        entries = list(tmp_path.glob("*/*.json"))
+        assert len(entries) == 2
+        stale = {"ass": [[0]], "witness": [0, 0, 0, 0], "prime": [0]}
+        for path in entries:
+            path.write_text(json.dumps(stale))
+        served = run_graph_checks(g, cfg)
+        assert served.per_k[1]["ass_oracle"] == [[1]]  # the version still sees them
+
+        monkeypatch.setattr(compedge.cache, "ORACLE_VERSION", current)
+        fresh = run_graph_checks(g, cfg)
+        assert fresh.per_k == plain.per_k and fresh.summary == plain.summary
+        assert len(list(tmp_path.glob("*/*.json"))) == 4
+
     def test_sweep_with_cache_matches(self, tmp_path):
         cfg = SweepConfig(k_max=2, checks=("ass", "reg"), cache_dir=str(tmp_path))
         plain = SweepConfig(k_max=2, checks=("ass", "reg"))
@@ -240,6 +297,30 @@ class TestCache:
 
 
 class TestSweep:
+    def test_each_power_is_scanned_once(self, monkeypatch):
+        scanned = Counter()
+        scan = compedge.verify._prime_colon_witnesses
+
+        def counting(I, divisor_limit):
+            scanned[I] += 1
+            return scan(I, divisor_limit)
+
+        monkeypatch.setattr(compedge.verify, "_prime_colon_witnesses", counting)
+        cfg = SweepConfig(k_max=3, checks=("ass", "persistence", "v"))
+        for g in (cycle_graph(4), paw(), matching_graph(2)):
+            scanned.clear()
+            rpt = run_graph_checks(g, cfg)
+            assert set(rpt.summary.values()) == {True}
+            I = complementary_edge_ideal(g)
+            assert scanned == Counter(power(I, k) for k in (1, 2, 3))
+
+    def test_default_lq_limit_covers_the_n4_cubes(self):
+        g = complete_graph(4)
+        assert len(power(complementary_edge_ideal(g), 3).generators) > 24
+        rpt = run_graph_checks(g, SweepConfig(checks=("linear",)))
+        assert rpt.skipped == {}
+        assert rpt.summary["linear"] is True
+
     def test_n4_theorem_checks_all_pass(self):
         cfg = SweepConfig(
             k_max=3,
@@ -327,6 +408,38 @@ class TestSweep:
     def test_rejects_unknown_check(self):
         with pytest.raises(ValueError):
             sweep(3, SweepConfig(checks=("nope",)))
+
+
+class TestWitnessKernel:
+    def test_agrees_with_reference_kernels(self, edged_census, random_ideals):
+        ideals = random_ideals(random.Random(41), 1000)
+        ideals += [
+            power(complementary_edge_ideal(g), k)
+            for n in (3, 4)
+            for g in edged_census[n]
+            for k in (1, 2, 3)
+        ]
+        for I in ideals:
+            found = _prime_colon_witnesses(I, 10**6)
+            got = {(tuple(u), int(m)) for u, m in zip(found.exps.tolist(), found.masks)}
+            ref = colon_prime_scan_reference(I)
+            assert got == ref, str(I)
+            assert depth_zero_oracle(I) == depth_zero_reference(I), str(I)
+
+            def prime(mask):
+                return frozenset(i for i in range(I.ambient) if mask >> i & 1)
+
+            assert ass_oracle(I) == {prime(mask) for _, mask in ref}
+            u, mask = min(ref, key=lambda w: (sum(w[0]), w[0]))
+            v = v_oracle(I)
+            assert (v.witness.exponents, v.prime) == (u, prime(mask))
+
+    def test_witness_colon_is_the_prime(self, random_ideals):
+        for I in random_ideals(random.Random(43), 100):
+            for F in ass_oracle(I):
+                w = local_v_oracle(I, F)
+                P_F = ideal([variable(i, I.ambient) for i in F], I.ambient)
+                assert colon(I, w.witness) == P_F
 
 
 class TestOracleCrossValidation:
