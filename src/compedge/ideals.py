@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -475,24 +476,33 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
 # the divisor-count table, read by every box-scanning oracle
 
 
-def divisor_counts(I: MonomialIdeal, bound: Monomial) -> np.ndarray:
+def divisor_counts(
+    I: MonomialIdeal, bound: Monomial, cell_limit: int | None = None
+) -> np.ndarray:
     """Divisor-count table of I over the divisor box of ``bound``.
 
-    Returns an int array of shape (bound_1+1, ..., bound_n+1) whose cell at
-    index a counts the minimal generators of I that divide x^a.  Each
-    generator inside the box is added at its own cell, and one cumulative
-    sum per axis carries it to every cell above it.  Membership of x^a in I
-    is ``C[a] > 0``; the witness scans and the lcm lattice read the same
-    table.
+    Returns an unsigned int array of shape (bound_1+1, ..., bound_n+1) whose
+    cell at index a counts the minimal generators of I that divide x^a.
+    Each generator inside the box is added at its own cell, and one
+    cumulative sum per axis carries it to every cell above it.  Membership
+    of x^a in I is ``C[a] > 0``; the witness scans and the lcm lattice read
+    the same table.  A box of more than ``cell_limit`` cells raises
+    :class:`LimitExceededError` before anything is allocated.
     """
     if bound.ambient != I.ambient:
         raise ValueError("ambient mismatch")
-    counts = np.zeros(tuple(e + 1 for e in bound.exponents), dtype=np.int32)
+    shape = tuple(e + 1 for e in bound.exponents)
+    cells = math.prod(shape)
+    if cell_limit is not None and cells > cell_limit:
+        raise LimitExceededError(f"divisor box has {cells} cells, limit {cell_limit}")
+    # no cell counts more than every generator
+    dtype = np.min_scalar_type(len(I.generators))
+    counts = np.zeros(shape, dtype=dtype)
     gens = I.exponent_matrix()
     inside = gens[(gens <= np.array(bound.exponents)).all(axis=1)]
     np.add.at(counts, tuple(inside.T), 1)
     for axis in range(counts.ndim):
-        np.cumsum(counts, axis=axis, out=counts)
+        np.cumsum(counts, axis=axis, dtype=dtype, out=counts)
     return counts
 
 

@@ -15,7 +15,6 @@ observable, not an assumption.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,6 +28,7 @@ DEFAULT_GROUND_LIMIT = 12
 DEFAULT_LATTICE_LIMIT = 50_000
 BOX_CELL_LIMIT = 5_000_000
 DEFAULT_QUOTIENTS_LIMIT = 2000
+_DEAD_BITS = 1 << 28
 
 _SMALL_PRIMES = frozenset(
     {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
@@ -314,7 +314,10 @@ def _lcm_lattice(counts: np.ndarray, lattice_limit: int) -> np.ndarray:
     """
     keep = counts > 0
     for axis in range(counts.ndim):
-        keep &= np.diff(counts, axis=axis, prepend=0) > 0
+        up = [slice(None)] * counts.ndim
+        down = [slice(None)] * counts.ndim
+        up[axis], down[axis] = slice(1, None), slice(None, -1)
+        keep[tuple(up)] &= counts[tuple(up)] > counts[tuple(down)]
     points = np.argwhere(keep)
     if points.shape[0] > lattice_limit:
         raise LimitExceededError(
@@ -339,17 +342,12 @@ def betti_table(
     _check_prime(p)
     if not I.is_proper:
         raise ValueError("Betti table needs a nonzero, non-unit ideal")
-    cells = math.prod(e + 1 for e in I.lcm_of_generators().exponents)
-    if cells > BOX_CELL_LIMIT:
-        raise LimitExceededError(
-            f"divisor box has {cells} cells, limit {BOX_CELL_LIMIT}"
-        )
     return _betti_table_cached(I, p, lattice_limit)
 
 
 @lru_cache(maxsize=200_000)
 def _betti_table_cached(I: MonomialIdeal, p: int, lattice_limit: int) -> BettiTable:
-    counts = divisor_counts(I, I.lcm_of_generators())
+    counts = divisor_counts(I, I.lcm_of_generators(), BOX_CELL_LIMIT)
     points = _lcm_lattice(counts, lattice_limit)
     member = (counts > 0).reshape(-1)
     strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
@@ -432,7 +430,8 @@ def has_linear_quotients(
     Exact backtracking over orders with nondecreasing degrees (an ideal with
     linear quotients always admits such an order), with memoization on the
     set of already-placed generators.  Returns (True, witness order) or
-    (False, None) after exhausting the search.
+    (False, None) after exhausting the search.  More than ``limit``
+    generators raises :class:`LimitExceededError`.
     """
     if not I.is_proper:
         raise ValueError("linear quotients need a nonzero, non-unit ideal")
@@ -446,15 +445,20 @@ def has_linear_quotients(
     degs = arr.sum(axis=1)
     bits = 1 << np.arange(I.ambient, dtype=np.int64)
     # gt[v][u]: bitmask of variables t with v_t > u_t
-    gt = ((arr[:, None, :] > arr[None, :, :]) * bits[None, None, :]).sum(axis=2)
     # sv[w][u]: the variable bit when (w : u) is a single variable, else 0
-    diff = np.maximum(arr[:, None, :] - arr[None, :, :], 0)
-    single = diff.sum(axis=2) == 1
-    svvar = (diff > 0) @ bits
-    sv = np.where(single, svvar, 0)
+    gt = np.empty((m, m), dtype=np.int64)
+    sv = np.empty((m, m), dtype=np.int64)
+    # rows in blocks, so the (rows, m, n) difference stays near 2^20 cells
+    step = max(1, (1 << 20) // (m * I.ambient))
+    for lo in range(0, m, step):
+        diff = np.maximum(arr[lo : lo + step, None, :] - arr[None, :, :], 0)
+        gt[lo : lo + step] = (diff > 0) @ bits
+        sv[lo : lo + step] = np.where(diff.sum(axis=2) == 1, gt[lo : lo + step], 0)
 
     order: list[int] = []
     dead: set[int] = set()
+    # remembered dead placed-sets hold at most _DEAD_BITS mask bits in all
+    dead_cap = min(1 << 22, _DEAD_BITS // m)
 
     def admissible(u: int) -> bool:
         tmask = 0
@@ -464,25 +468,32 @@ def has_linear_quotients(
             return False
         return all(int(gt[v, u]) & tmask for v in order)
 
-    def search(chosen_mask: int) -> bool:
-        if len(order) == m:
-            return True
-        if chosen_mask in dead:
-            return False
+    def next_candidate(mask: int, start: int) -> int:
+        """First generator from ``start`` on that can be placed next, or m."""
+        if mask in dead:
+            return m
         last_deg = degs[order[-1]] if order else 0
-        for u in range(m):
-            if chosen_mask >> u & 1 or degs[u] < last_deg:
+        for u in range(start, m):
+            if mask >> u & 1 or degs[u] < last_deg:
                 continue
             if order and not admissible(u):
                 continue
-            order.append(u)
-            if search(chosen_mask | 1 << u):
-                return True
-            order.pop()
-        if len(dead) < 1 << 22:
-            dead.add(chosen_mask)
-        return False
+            return u
+        return m
 
-    if search(0):
-        return True, tuple(I.generators[i] for i in order)
-    return False, None
+    # depth-first search with an explicit stack: orders can be thousands of
+    # generators long, far deeper than Python's recursion limit
+    mask, start = 0, 0
+    while len(order) < m:
+        u = next_candidate(mask, start)
+        if u < m:
+            order.append(u)
+            mask, start = mask | 1 << u, 0
+            continue
+        if len(dead) < dead_cap:
+            dead.add(mask)
+        if not order:
+            return False, None
+        u = order.pop()
+        mask, start = mask & ~(1 << u), u + 1
+    return True, tuple(I.generators[i] for i in order)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
@@ -101,12 +100,7 @@ def _prime_colon_witnesses(I: MonomialIdeal, divisor_limit: int) -> _Witnesses:
     membership is read from the divisor-count table alone.
     """
     bound = I.lcm_of_generators()
-    count = math.prod(e + 1 for e in bound.exponents)
-    if count > divisor_limit:
-        raise LimitExceededError(
-            f"witness space has {count} divisors, limit {divisor_limit}"
-        )
-    counts = divisor_counts(I, bound)
+    counts = divisor_counts(I, bound, divisor_limit)
     member = (counts > 0).reshape(-1)
     strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
     cap = bound.exponents

@@ -17,6 +17,7 @@ from compedge.graphs import (
 )
 from compedge.ideals import (
     BigDegreeCase,
+    LimitExceededError,
     MonomialIdeal,
     classify_big_degree,
     colon,
@@ -99,6 +100,20 @@ class TestMembership:
             for u in divisors(bound):
                 assert box[u.exponents] == (u in I)
                 assert counts[u.exponents] == sum(g.divides(u) for g in I.generators)
+
+    def test_divisor_counts_cell_limit(self):
+        I = I_("(x1^3*x2^3, x3^3*x4^3)", 4)
+        bound = I.lcm_of_generators()
+        assert divisor_counts(I, bound, 256).shape == (4, 4, 4, 4)
+        with pytest.raises(LimitExceededError, match="256 cells, limit 255"):
+            divisor_counts(I, bound, 255)
+
+    def test_divisor_counts_past_255_generators(self):
+        # 1140 generators, all dividing the top cell of the lcm box
+        I = power(I_("(x1, x2, x3, x4)", 4), 17)
+        counts = divisor_counts(I, I.lcm_of_generators())
+        assert counts[(17, 17, 17, 17)] == len(I.generators) == 1140
+        assert counts[(17, 0, 0, 0)] == 1
 
     @given(small_ideals)
     def test_divisor_counts_on_the_lcm_box(self, I):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -338,6 +339,14 @@ class TestLinearQuotients:
         I = power(complementary_edge_ideal(complete_graph(4)), 2)
         with pytest.raises(LimitExceededError):
             has_linear_quotients(I, limit=3)
+
+    def test_orders_deeper_than_the_recursion_limit(self):
+        # every degree-17 monomial in 4 variables: 1140 generators, polymatroidal
+        I = power(I_("(x1, x2, x3, x4)", 4), 17)
+        assert len(I.generators) > sys.getrecursionlimit()
+        ok, order = has_linear_quotients(I)
+        assert ok
+        assert len(order) == len(I.generators) and set(order) == set(I.generators)
 
     def test_witness_order_is_admissible(self):
         from compedge.ideals import colon, ideal as mk

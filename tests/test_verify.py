@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -317,6 +318,16 @@ class TestSweep:
     def test_default_lq_limit_covers_the_n4_cubes(self):
         g = complete_graph(4)
         assert len(power(complementary_edge_ideal(g), 3).generators) > 24
+        rpt = run_graph_checks(g, SweepConfig(checks=("linear",)))
+        assert rpt.skipped == {}
+        assert rpt.summary["linear"] is True
+
+    def test_default_config_finishes_linear_on_k8_cubes(self):
+        # I_c(K8)^3 has 1428 generators: the order search runs deeper than
+        # the recursion limit
+        g = complete_graph(8)
+        m = len(power(complementary_edge_ideal(g), 3).generators)
+        assert sys.getrecursionlimit() < m <= SweepConfig().lq_limit
         rpt = run_graph_checks(g, SweepConfig(checks=("linear",)))
         assert rpt.skipped == {}
         assert rpt.summary["linear"] is True
