@@ -1,7 +1,7 @@
 """Command-line front end: parse graphs, run analyses and sweeps, emit reports.
 
 Exit codes: 0 all checks passed, 1 formula/oracle mismatch, 2 parse or
-usage error, 3 budget exceeded before the checks could finish.
+usage error, 3 budget or limit exceeded.
 """
 
 from __future__ import annotations
@@ -23,7 +23,12 @@ from .graphs import (
     to_graph6,
     triangles,
 )
-from .ideals import MonomialIdeal, complementary_edge_ideal, power
+from .ideals import (
+    LimitExceededError,
+    MonomialIdeal,
+    complementary_edge_ideal,
+    power,
+)
 from .resolution import DEFAULT_QUOTIENTS_LIMIT, betti_table, reg_pd_depth
 from .verify import (
     ALL_CHECKS,
@@ -156,20 +161,23 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_analyze(args) -> int:
-    g = _read_graph(args)
-    if g.n < 3 or not g.edges:
-        raise _CliParseError("analyze needs a graph with n >= 3 and at least one edge")
-    cfg = SweepConfig(
+def _sweep_config(args, checks: tuple[str, ...]) -> SweepConfig:
+    return SweepConfig(
         k_max=args.kmax,
-        checks=ALL_CHECKS,
+        checks=checks,
         primes=_parse_primes(args.primes),
         divisor_limit=args.divisor_limit,
         lq_limit=args.lq_limit,
         budget_ms=args.budget_ms,
         cache_dir=args.cache_dir,
     )
-    rpt = run_graph_checks(g, cfg)
+
+
+def cmd_analyze(args) -> int:
+    g = _read_graph(args)
+    if g.n < 3 or not g.edges:
+        raise _CliParseError("analyze needs a graph with n >= 3 and at least one edge")
+    rpt = run_graph_checks(g, _sweep_config(args, ALL_CHECKS))
     if args.format == "json":
         _emit(json.dumps(rpt.to_json_dict(), sort_keys=True, indent=2) + "\n", args.out)
     else:
@@ -182,19 +190,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    checks = normalize_checks(args.checks.split(","))
-    cfg = SweepConfig(
-        k_max=args.kmax,
-        checks=checks,
-        primes=_parse_primes(args.primes),
-        divisor_limit=args.divisor_limit,
-        lq_limit=args.lq_limit,
-        budget_ms=args.budget_ms,
-        cache_dir=args.cache_dir,
-    )
     reports = sweep(
         args.nmax,
-        cfg,
+        _sweep_config(args, normalize_checks(args.checks.split(","))),
         n_min=args.nmin,
         workers=args.workers,
         census_limit=args.census_limit,
@@ -277,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     except (_CliParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
+    except LimitExceededError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

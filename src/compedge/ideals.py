@@ -5,6 +5,12 @@ Every ideal is stored as its unique minimal generating set, sorted by
 of generator sequences.  The zero ideal has no generators, the unit ideal
 has the single generator 1.  All operations are pure.
 
+One helper, :func:`_generated_by`, builds every generating set: ``ideal``,
+products, intersections, colons, localizations, graded components and prime
+powers all hand it their candidate exponent vectors.  Products,
+intersections and colons form those candidates by broadcasting over
+:meth:`MonomialIdeal.exponent_matrix`.
+
 The oracles that scan the divisor box of an ideal all read one table,
 :func:`divisor_counts`, the number of minimal generators dividing each box
 monomial.
@@ -21,9 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Graph
-from .monomials import Monomial, canonical_key, one, x_of_set
-
-_NUMPY_MINIMALIZE_THRESHOLD = 48
+from .monomials import Monomial, one, x_of_set
 
 
 class LimitExceededError(RuntimeError):
@@ -148,27 +152,20 @@ class MonomialIdeal:
 # construction
 
 
-def _minimalize_tuples(
-    tuples: Iterable[tuple[int, ...]], ambient: int
-) -> list[tuple[int, ...]]:
-    """Minimal elements of a set of exponent vectors, canonically sorted."""
-    uniq = sorted(set(tuples), key=lambda t: (sum(t), t))
-    if not uniq:
-        return []
-    if uniq[0] == (0,) * ambient:
-        return [uniq[0]]
-    if len(uniq) > _NUMPY_MINIMALIZE_THRESHOLD:
-        arr = np.array(uniq, dtype=np.int16)
-        m = arr.shape[0]
-        le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-        np.fill_diagonal(le, False)
-        dominated = le.any(axis=0)
-        return [uniq[k] for k in range(m) if not dominated[k]]
-    kept: list[tuple[int, ...]] = []
-    for t in uniq:
-        if not any(all(a <= b for a, b in zip(k, t)) for k in kept):
-            kept.append(t)
-    return kept
+def _generated_by(ambient: int, vectors: Iterable[tuple[int, ...]]) -> MonomialIdeal:
+    """The ideal generated by exponent vectors, canonically presented.
+
+    Every generating set is built here: dedupe, sort by (degree, lex), drop
+    the vectors that another one divides.  Distinct vectors of one degree
+    never divide each other, so an equigenerated set needs no dominance pass.
+    """
+    uniq = sorted(set(vectors), key=lambda t: (sum(t), t))
+    if uniq and sum(uniq[0]) != sum(uniq[-1]):
+        arr = np.array(uniq, dtype=np.int64)
+        divides = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
+        np.fill_diagonal(divides, False)
+        uniq = [t for t, dominated in zip(uniq, divides.any(axis=0)) if not dominated]
+    return MonomialIdeal(ambient, tuple(Monomial(t) for t in uniq))
 
 
 def ideal(gens: Iterable[Monomial], ambient: int | None = None) -> MonomialIdeal:
@@ -181,8 +178,7 @@ def ideal(gens: Iterable[Monomial], ambient: int | None = None) -> MonomialIdeal
     for g in gens:
         if g.ambient != ambient:
             raise ValueError(f"ambient mismatch: {g.ambient} vs {ambient}")
-    mins = _minimalize_tuples((g.exponents for g in gens), ambient)
-    return MonomialIdeal(ambient, tuple(Monomial(t) for t in mins))
+    return _generated_by(ambient, (g.exponents for g in gens))
 
 
 def zero_ideal(ambient: int) -> MonomialIdeal:
@@ -214,15 +210,9 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Product ideal, generated by the pairwise products, minimalized."""
     if I.ambient != J.ambient:
         raise ValueError("ambient mismatch")
-    if I.is_zero or J.is_zero:
-        return zero_ideal(I.ambient)
-    prods = {
-        tuple(a + b for a, b in zip(g.exponents, h.exponents))
-        for g in I.generators
-        for h in J.generators
-    }
-    mins = _minimalize_tuples(prods, I.ambient)
-    return MonomialIdeal(I.ambient, tuple(Monomial(t) for t in mins))
+    A, B = I.exponent_matrix(), J.exponent_matrix()
+    prods = (A[:, None, :] + B[None, :, :]).reshape(-1, I.ambient)
+    return _generated_by(I.ambient, map(tuple, prods.tolist()))
 
 
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -241,29 +231,17 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Intersection, generated by the pairwise lcms, minimalized."""
     if I.ambient != J.ambient:
         raise ValueError("ambient mismatch")
-    if I.is_zero or J.is_zero:
-        return zero_ideal(I.ambient)
-    meets = {
-        tuple(max(a, b) for a, b in zip(g.exponents, h.exponents))
-        for g in I.generators
-        for h in J.generators
-    }
-    mins = _minimalize_tuples(meets, I.ambient)
-    return MonomialIdeal(I.ambient, tuple(Monomial(t) for t in mins))
+    A, B = I.exponent_matrix(), J.exponent_matrix()
+    meets = np.maximum(A[:, None, :], B[None, :, :]).reshape(-1, I.ambient)
+    return _generated_by(I.ambient, map(tuple, meets.tolist()))
 
 
 def colon(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """Colon ideal I : u, generated by g / gcd(g, u)."""
     if u.ambient != I.ambient:
         raise ValueError("ambient mismatch")
-    if I.is_zero:
-        return zero_ideal(I.ambient)
-    quots = {
-        tuple(max(a - b, 0) for a, b in zip(g.exponents, u.exponents))
-        for g in I.generators
-    }
-    mins = _minimalize_tuples(quots, I.ambient)
-    return MonomialIdeal(I.ambient, tuple(Monomial(t) for t in mins))
+    quots = np.maximum(I.exponent_matrix() - np.array(u.exponents), 0)
+    return _generated_by(I.ambient, map(tuple, quots.tolist()))
 
 
 def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -289,11 +267,9 @@ def localize(I: MonomialIdeal, F: Iterable[int]) -> MonomialIdeal:
         raise ValueError("localization needs a nonempty variable subset")
     if fs[0] < 0 or fs[-1] >= I.ambient:
         raise ValueError(f"variables {fs} out of range for ambient {I.ambient}")
-    if I.is_zero:
-        return zero_ideal(len(fs))
-    images = {tuple(g.exponents[i] for i in fs) for g in I.generators}
-    mins = _minimalize_tuples(images, len(fs))
-    return MonomialIdeal(len(fs), tuple(Monomial(t) for t in mins))
+    return _generated_by(
+        len(fs), (tuple(g.exponents[i] for i in fs) for g in I.generators)
+    )
 
 
 def graded_component(I: MonomialIdeal, j: int) -> MonomialIdeal:
@@ -302,7 +278,7 @@ def graded_component(I: MonomialIdeal, j: int) -> MonomialIdeal:
         raise ValueError("degree must be nonnegative")
     if I.is_zero or j < I.indeg:
         return zero_ideal(I.ambient)
-    gens: set[tuple[int, ...]] = set()
+    gens = []
     for g in I.generators:
         d = j - g.degree
         if d < 0:
@@ -311,10 +287,8 @@ def graded_component(I: MonomialIdeal, j: int) -> MonomialIdeal:
             exps = list(g.exponents)
             for i in combo:
                 exps[i] += 1
-            gens.add(tuple(exps))
-    # all candidates share degree j, so deduplication alone minimalizes
-    out = sorted(gens)
-    return MonomialIdeal(I.ambient, tuple(Monomial(t) for t in out))
+            gens.append(tuple(exps))
+    return _generated_by(I.ambient, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +426,8 @@ def prime_power(F: Iterable[int], k: int, ambient: int) -> MonomialIdeal:
         exps = [0] * ambient
         for i in combo:
             exps[i] += 1
-        gens.append(Monomial(tuple(exps)))
-    return MonomialIdeal(ambient, tuple(sorted(gens, key=canonical_key)))
+        gens.append(tuple(exps))
+    return _generated_by(ambient, gens)
 
 
 def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:

@@ -47,18 +47,11 @@ def _verdict(num: int, ok: bool, message: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def census():
-    return {
-        n: [g for g in enumerate_labeled_graphs(n) if g.edges] for n in (3, 4, 5)
-    }
-
-
-@pytest.fixture(scope="session")
-def ass_tables(census):
+def ass_tables(edged_census):
     """Oracle Ass(I_c(G)^k) for k = 1..4 per census graph (n <= 5)."""
     store = {}
     for n in (3, 4, 5):
-        for g in census[n]:
+        for g in edged_census[n]:
             I = complementary_edge_ideal(g)
             asses = []
             Ik = I
@@ -71,13 +64,13 @@ def ass_tables(census):
 
 
 @pytest.fixture(scope="session")
-def mixed_family(census):
+def mixed_family(edged_census):
     """The mixed-degree ideals: I_c(G) plus x_[n]/x_i over the isolated
     vertices i, for every census graph having some edge and some isolated
     vertex."""
     out = []
     for n in (3, 4, 5):
-        for g in census[n]:
+        for g in edged_census[n]:
             iso = g.isolated_vertices
             if not iso:
                 continue
@@ -100,30 +93,30 @@ def veronese_family():
     return out
 
 
-def test_criterion_1_theorem_a_stable_set(census, ass_tables):
+def test_criterion_1_theorem_a_stable_set(edged_census, ass_tables):
     mismatches = []
-    for g in census[5]:
+    for g in edged_census[5]:
         if ass_tables[g][2] != ass_infinity(g).stable_set:
             mismatches.append(to_graph6(g))
     rng = random.Random(20250810)
     unstable = []
-    for g in rng.sample(census[5], 100):
+    for g in rng.sample(edged_census[5], 100):
         if ass_tables[g][2] != ass_tables[g][3]:
             unstable.append(to_graph6(g))
     ok = not mismatches and not unstable
     _verdict(
         1,
         ok,
-        f"Ass(I^3) vs stable formula on {len(census[5])} graphs "
+        f"Ass(I^3) vs stable formula on {len(edged_census[5])} graphs "
         f"({len(mismatches)} mismatches); k=3 vs k=4 stability on 100 samples "
         f"({len(unstable)} unstable)",
     )
 
 
-def test_criterion_2_theorem_a_persistence(census, ass_tables):
+def test_criterion_2_theorem_a_persistence(edged_census, ass_tables):
     violations = []
     for n in (3, 4, 5):
-        for g in census[n]:
+        for g in edged_census[n]:
             asses = ass_tables[g]
             for k in (1, 2, 3):
                 if not asses[k - 1] <= asses[k]:
@@ -136,11 +129,11 @@ def test_criterion_2_theorem_a_persistence(census, ass_tables):
     )
 
 
-def test_criterion_3_localization_proposition(census):
+def test_criterion_3_localization_proposition(edged_census):
     mismatches = 0
     total = 0
     for n in (3, 4, 5):
-        for g in census[n]:
+        for g in edged_census[n]:
             I = complementary_edge_ideal(g)
             for size in range(1, n + 1):
                 for F in itertools.combinations(range(n), size):
@@ -150,10 +143,10 @@ def test_criterion_3_localization_proposition(census):
     _verdict(3, mismatches == 0, f"{total} localizations compared, {mismatches} mismatches")
 
 
-def test_criterion_4_entry_bound_corollary(census, ass_tables):
+def test_criterion_4_entry_bound_corollary(edged_census, ass_tables):
     counterexamples = []
     for n in (3, 4, 5):
-        for g in census[n]:
+        for g in edged_census[n]:
             pred = ass_infinity(g)
             asses = ass_tables[g]
             for F in pred.stable_set:
@@ -175,10 +168,10 @@ def test_criterion_4_entry_bound_corollary(census, ass_tables):
     )
 
 
-def test_criterion_5_regularity_closed_form(census):
+def test_criterion_5_regularity_closed_form(edged_census):
     mismatches = []
     for n in (3, 4, 5):
-        for g in census[n]:
+        for g in edged_census[n]:
             I = complementary_edge_ideal(g)
             cls = classify_big_degree(I)
             for k in (1, 2, 3):
@@ -224,9 +217,9 @@ def test_criterion_6_mixed_ideals(mixed_family):
     )
 
 
-def test_criterion_7_depth_monotonicity(census, mixed_family, veronese_family):
+def test_criterion_7_depth_monotonicity(edged_census, mixed_family, veronese_family):
     ideals = [
-        complementary_edge_ideal(g) for n in (3, 4, 5) for g in census[n]
+        complementary_edge_ideal(g) for n in (3, 4, 5) for g in edged_census[n]
     ]
     ideals += [I for _, I in mixed_family]
     ideals += veronese_family
@@ -242,10 +235,10 @@ def test_criterion_7_depth_monotonicity(census, mixed_family, veronese_family):
     )
 
 
-def test_criterion_8_betti_field_independence(census):
+def test_criterion_8_betti_field_independence(edged_census):
     bad = []
     for n in (3, 4, 5):
-        for g in census[n]:
+        for g in edged_census[n]:
             I = complementary_edge_ideal(g)
             for k in (1, 2):
                 Ik = power(I, k)
@@ -267,9 +260,11 @@ def test_criterion_8_betti_field_independence(census):
     )
 
 
-def test_criterion_9_linear_powers_equivalences(census, mixed_family, veronese_family):
+def test_criterion_9_linear_powers_equivalences(
+    edged_census, mixed_family, veronese_family
+):
     ideals = [
-        complementary_edge_ideal(g) for n in (3, 4, 5) for g in census[n]
+        complementary_edge_ideal(g) for n in (3, 4, 5) for g in edged_census[n]
     ]
     ideals += [I for _, I in mixed_family]
     ideals += veronese_family
@@ -311,11 +306,11 @@ def test_criterion_10_symbolic_power_classification():
     )
 
 
-def test_criterion_11_v_function(census):
+def test_criterion_11_v_function(edged_census):
     mismatches = []
     bound_violations = []
     for n in (3, 4, 5):
-        for g in census[n]:
+        for g in edged_census[n]:
             I = complementary_edge_ideal(g)
             for k in (1, 2):
                 got = v_oracle(power(I, k)).v

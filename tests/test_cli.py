@@ -170,6 +170,16 @@ class TestBetti:
         assert code == 0
         assert "reg = 3" in out  # mixed-degree ideal: reg I = (n-1)k = 3
 
+    def test_over_limit_box_is_budget_exit(self, capsys, tmp_path):
+        # (x1^9, ..., x7^9): a divisor box of 10^7 cells, over the Betti limit
+        path = tmp_path / "ideal.json"
+        gens = [[9 if j == i else 0 for j in range(7)] for i in range(7)]
+        path.write_text(json.dumps({"ambient": 7, "generators": gens}))
+        code, out, err = run(capsys, "betti", "--ideal-json", str(path))
+        assert code == 3
+        assert err == "error: divisor box has 10000000 cells, limit 5000000\n"
+        assert out == ""
+
     def test_bad_json_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")

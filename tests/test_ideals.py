@@ -79,6 +79,137 @@ class TestMinimalize:
             assert not g.divides(h)
 
 
+# The closures as they were built before one helper minimalized every
+# generating set: per-pair comprehensions and a plain O(m^2) dominance test.
+# They are the reference the library's closures are compared against.
+
+
+def _ref_minimal(vectors):
+    uniq = set(vectors)
+    mins = [
+        t
+        for t in uniq
+        if not any(s != t and all(a <= b for a, b in zip(s, t)) for s in uniq)
+    ]
+    return tuple(sorted(mins, key=lambda t: (sum(t), t)))
+
+
+def _ref_multiply(A, B):
+    return _ref_minimal(tuple(a + b for a, b in zip(g, h)) for g in A for h in B)
+
+
+def _ref_intersect(A, B):
+    return _ref_minimal(tuple(max(a, b) for a, b in zip(g, h)) for g in A for h in B)
+
+
+def _ref_colon(A, u):
+    return _ref_minimal(tuple(max(a - b, 0) for a, b in zip(g, u)) for g in A)
+
+
+def _ref_colon_ideal(A, B, ambient):
+    if not B:
+        return ((0,) * ambient,)
+    out = _ref_colon(A, B[0])
+    for v in B[1:]:
+        out = _ref_intersect(out, _ref_colon(A, v))
+    return out
+
+
+def _ref_localize(A, F):
+    return _ref_minimal(tuple(g[i] for i in F) for g in A)
+
+
+def _ref_graded_component(A, j, ambient):
+    """Every degree-j monomial that some generator divides."""
+    out = []
+    for combo in itertools.combinations_with_replacement(range(ambient), j):
+        t = tuple(combo.count(i) for i in range(ambient))
+        if any(all(a <= b for a, b in zip(g, t)) for g in A):
+            out.append(t)
+    return _ref_minimal(out)
+
+
+def _exps(I):
+    return tuple(g.exponents for g in I.generators)
+
+
+def _closure_mismatches(I, J, u, F, j, extra):
+    """Names of the closures whose generators differ from the reference."""
+    A, B, n = _exps(I), _exps(J), I.ambient
+    gens = list(I.generators) + list(J.generators) + extra
+    pairs = {
+        "ideal": (ideal(gens, n), _ref_minimal(g.exponents for g in gens)),
+        "multiply": (multiply(I, J), _ref_multiply(A, B)),
+        "intersect": (intersect(I, J), _ref_intersect(A, B)),
+        "colon": (colon(I, u), _ref_colon(A, u.exponents)),
+        "colon_ideal": (colon_ideal(I, J), _ref_colon_ideal(A, B, n)),
+        "localize": (localize(I, F), _ref_localize(A, F)),
+        "graded_component": (graded_component(I, j), _ref_graded_component(A, j, n)),
+    }
+    return [name for name, (got, want) in pairs.items() if _exps(got) != want]
+
+
+class TestClosuresAgreeWithReference:
+    def test_random_ideals(self, random_ideals):
+        rng = random.Random(41)
+        ideals = random_ideals(rng, 1000)
+        by_ambient = {}
+        for I in ideals:
+            by_ambient.setdefault(I.ambient, []).append(I)
+        mismatches = []
+        for I in ideals:
+            n = I.ambient
+            J = rng.choice(by_ambient[n] + [zero_ideal(n), unit_ideal(n)])
+            u = Monomial(tuple(rng.randint(0, 3) for _ in range(n)))
+            F = sorted(rng.sample(range(n), rng.randint(1, n)))
+            j = I.indeg + rng.randint(0, 2)
+            # multiples and repeats of the generators, for ideal() to drop
+            extra = [rng.choice(I.generators) * u, I.generators[0]]
+            names = _closure_mismatches(I, J, u, F, j, extra)
+            mismatches += [(I, J, name) for name in names]
+        assert mismatches == []
+
+    def test_census_powers(self, edged_census):
+        rng = random.Random(43)
+        mismatches = []
+        for g in edged_census[3] + edged_census[4]:
+            I = complementary_edge_ideal(g)
+            ref_power = ((0,) * g.n,)
+            for k in (1, 2, 3):
+                P = power(I, k)
+                ref_power = _ref_multiply(ref_power, _exps(I))
+                if _exps(P) != ref_power:
+                    mismatches.append((g, k, "power"))
+                u = Monomial(tuple(rng.randint(0, 2) for _ in range(g.n)))
+                F = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+                extra = [h * u for h in P.generators]
+                names = _closure_mismatches(P, I, u, F, P.indeg + 1, extra)
+                mismatches += [(g, k, name) for name in names]
+        assert mismatches == []
+
+    def test_zero_and_unit_ideals(self):
+        u, F = parse_monomial("x1*x3^2", 3), [0, 2]
+        trivial = [zero_ideal(3), unit_ideal(3), I_("(x1*x2, x3^2)", 3)]
+        mismatches = [
+            (I, J, name)
+            for I in trivial[:2]
+            for J in trivial
+            for name in _closure_mismatches(I, J, u, F, 1, [])
+        ]
+        assert mismatches == []
+
+    def test_large_exponents(self):
+        # past the int16 range: all one degree, then mixed degrees
+        gens = [Monomial((40000 + i, 60 - i)) for i in range(60)]
+        I = ideal(gens, 2)
+        assert _exps(I) == tuple(sorted(g.exponents for g in gens))
+        multiples = [Monomial((40000 + i, 61 - i)) for i in range(60)]
+        assert ideal(gens + multiples, 2) == I
+        assert _exps(intersect(I, I_("(x1^40001)", 2))) == _ref_intersect(
+            _exps(I), ((40001, 0),)
+        )
+
+
 class TestMembership:
     def test_examples(self):
         I = I_("(x1*x2, x3*x4)", 4)

@@ -488,6 +488,4 @@ class TestOracleCrossValidation:
                     J = localize(I, combo)
                     if J.is_proper and depth_zero_oracle(J)[0]:
                         via_socle.add(frozenset(combo))
-                    elif J.is_zero and size == 0:
-                        pass
             assert ass_oracle(I) == via_socle
