@@ -21,7 +21,7 @@ from .ideals import MonomialIdeal
 ENV_CACHE_DIR = "COMPEDGE_CACHE_DIR"
 # Bump whenever an oracle's kernel changes, so that entries written by an
 # earlier kernel are never served.
-ORACLE_VERSION = 2
+ORACLE_VERSION = 3
 
 
 def cache_key(I: MonomialIdeal, operation: str, params: dict) -> str:
@@ -67,8 +67,3 @@ class DiskCache:
             except OSError:
                 pass
             raise
-
-
-def cache_from_env() -> DiskCache | None:
-    root = os.environ.get(ENV_CACHE_DIR)
-    return DiskCache(root) if root else None

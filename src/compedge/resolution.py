@@ -6,17 +6,21 @@ and only multidegrees in the lcm lattice of the generators can carry a
 nonzero rank.  Both the lattice and the upper-Koszul faces are read off one
 divisor-count table over the divisor box of the generator lcm
 (:func:`compedge.ideals.divisor_counts`); a box of more than
-``BOX_CELL_LIMIT`` cells raises :class:`LimitExceededError`.  Regularity,
-projective dimension and depth are read off the Betti table; the table
-itself is computed per characteristic so that field (in)dependence is an
-observable, not an assumption.
+``BOX_CELL_LIMIT`` cells raises :class:`LimitExceededError`.
+
+One kernel gives every Betti invariant.  Per ideal it drops the cones among
+the upper-Koszul complexes and groups the rest by complex (cached for 64
+ideals; this part is field-free), then ranks each distinct complex once per
+characteristic (cached for 2^16 complexes across ideals).  Regularity,
+projective dimension and depth are maxima over the table's arrays, computed
+per characteristic so that field (in)dependence is an observable.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -176,55 +180,27 @@ def _boundary_rank(lower: list[int], upper: list[int], p: int) -> int:
     return _rank_mod_p(mat, p)
 
 
-_HOMOLOGY_MEMO: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-_HOMOLOGY_MEMO_CAP = 400_000
+@lru_cache(maxsize=1 << 16)
+def _complex_ranks(packed: bytes, p: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero reduced homology ranks (d, rank) over F_p of one complex.
 
-
-def _is_cone(face_masks: frozenset[int], vertex_masks: int) -> bool:
-    """A cone over any vertex has vanishing reduced homology everywhere."""
-    rem = vertex_masks
-    while rem:
-        vbit = rem & -rem
-        if all(f | vbit in face_masks for f in face_masks):
-            return True
-        rem ^= vbit
-    return False
-
-
-def _homology_ranks_masks(face_masks: frozenset[int], p: int) -> dict[int, int]:
-    """Reduced homology ranks of a complex given as face bitmasks."""
-    if not face_masks:
-        return {}
-    if face_masks == frozenset({0}):
-        return {-1: 1}
-    vertex_masks = 0
-    for f in face_masks:
-        vertex_masks |= f
-    if _is_cone(face_masks, vertex_masks):
-        return {}
-    key = (sum(1 << f for f in face_masks), p)
-    hit = _HOMOLOGY_MEMO.get(key)
-    if hit is not None:
-        return dict(hit)
+    ``packed`` is ``np.packbits`` of the complex's face flags: bit m is set
+    when the face with vertex bitmask m is present.
+    """
     by_dim: dict[int, list[int]] = {}
-    for f in face_masks:
+    # ascending masks, so the faces of each dimension come sorted
+    for f in np.flatnonzero(np.unpackbits(np.frombuffer(packed, np.uint8))).tolist():
         by_dim.setdefault(bin(f).count("1") - 1, []).append(f)
-    for faces in by_dim.values():
-        faces.sort()
-    top = max(by_dim)
-    ranks: dict[int, int] = {}
+    ranks = []
     rank_up = 0  # rank of the boundary map coming from dimension d+1
-    for d in range(top, -2, -1):
+    for d in range(max(by_dim, default=-2), -2, -1):
         faces = by_dim.get(d, [])
         rank_down = _boundary_rank(by_dim.get(d - 1, []), faces, p) if d >= 0 else 0
         h = len(faces) - rank_down - rank_up
         if h:
-            ranks[d] = h
+            ranks.append((d, h))
         rank_up = rank_down
-    if len(_HOMOLOGY_MEMO) >= _HOMOLOGY_MEMO_CAP:
-        _HOMOLOGY_MEMO.clear()
-    _HOMOLOGY_MEMO[key] = tuple(ranks.items())
-    return ranks
+    return tuple(ranks)
 
 
 def reduced_homology_ranks(
@@ -237,36 +213,51 @@ def reduced_homology_ranks(
             f"homology limited to ground sets of size <= {ground_limit}"
         )
     pos = {v: t for t, v in enumerate(C.ground)}
-    masks = frozenset(sum(1 << pos[v] for v in f) for f in C.faces)
-    return _homology_ranks_masks(masks, p)
+    flags = np.zeros(1 << len(C.ground), dtype=bool)
+    flags[[sum(1 << pos[v] for v in f) for f in C.faces]] = True
+    return dict(_complex_ranks(np.packbits(flags).tobytes().rstrip(b"\0"), p))
 
 
 # ---------------------------------------------------------------------------
 # Betti tables
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class BettiTable:
-    """Multigraded Betti numbers of an ideal: (i, multidegree) -> rank > 0."""
+    """Multigraded Betti numbers: beta_{i[r], multidegrees[r]} = rank[r] > 0.
+    Rows are sorted by (i, multidegree), so equal numbers mean equal arrays."""
 
     characteristic: int
     ambient: int
-    entries: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
+    multidegrees: np.ndarray  # (rows, ambient)
+    i: np.ndarray
+    rank: np.ndarray
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, tuple[int, ...]], int]:
+        """(i, multidegree) -> rank, in row order."""
+        rows = zip(self.i.tolist(), self.multidegrees.tolist(), self.rank.tolist())
+        return {(i, tuple(a)): r for i, a, r in rows}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BettiTable):
+            return NotImplemented
+        return (self.ambient, self.to_json_dict()) == (other.ambient, other.to_json_dict())
 
     def graded(self) -> dict[tuple[int, int], int]:
         """Total graded numbers beta_{i,j}, summing multidegrees of size j."""
         out: dict[tuple[int, int], int] = {}
-        for (i, a), rank in self.entries.items():
-            key = (i, sum(a))
-            out[key] = out.get(key, 0) + rank
+        degrees = self.multidegrees.sum(axis=1).tolist()
+        for i, j, rank in zip(self.i.tolist(), degrees, self.rank.tolist()):
+            out[(i, j)] = out.get((i, j), 0) + rank
         return out
 
     def total(self, i: int) -> int:
-        return sum(rank for (ii, _), rank in self.entries.items() if ii == i)
+        return int(self.rank[self.i == i].sum())
 
     @property
     def projective_dimension_ideal(self) -> int:
-        return max(i for (i, _) in self.entries)
+        return int(self.i.max())
 
     @property
     def projective_dimension_quotient(self) -> int:
@@ -274,7 +265,7 @@ class BettiTable:
 
     @property
     def regularity(self) -> int:
-        return max(sum(a) - i for (i, a) in self.entries)
+        return int((self.multidegrees.sum(axis=1) - self.i).max())
 
     def pretty(self) -> str:
         """Macaulay2-style total-degree table for the ideal's resolution."""
@@ -299,7 +290,7 @@ class BettiTable:
             "characteristic": self.characteristic,
             "entries": [
                 {"i": i, "multidegree": list(a), "rank": rank}
-                for (i, a), rank in sorted(self.entries.items())
+                for (i, a), rank in self.entries.items()
             ],
         }
 
@@ -326,11 +317,40 @@ def _lcm_lattice(counts: np.ndarray, lattice_limit: int) -> np.ndarray:
     return points
 
 
-@lru_cache(maxsize=None)
-def _subset_bits(g: int) -> np.ndarray:
-    """(2^g, g) 0/1 table: row m is the indicator vector of the bitmask m."""
-    masks = np.arange(1 << g, dtype=np.int64)
-    return (masks[:, None] >> np.arange(g)[None, :] & 1).astype(np.int16)
+@lru_cache(maxsize=64)
+def _complex_classes(
+    I: MonomialIdeal, lattice_limit: int
+) -> tuple[np.ndarray, tuple[bytes, ...], np.ndarray]:
+    """The lcm-lattice points of I whose upper-Koszul complex is not a cone
+    (cones are acyclic), in lexicographic order; the distinct complexes among
+    them, as :func:`_complex_ranks` keys; and per point its complex's index.
+    Nothing here depends on the field.
+    """
+    counts = divisor_counts(I, I.lcm_of_generators(), BOX_CELL_LIMIT)
+    lattice = _lcm_lattice(counts, lattice_limit)
+    member = (counts > 0).reshape(-1)
+    strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
+    sizes = np.count_nonzero(lattice, axis=1)
+    cone = np.zeros(len(lattice), dtype=bool)
+    # packed face flags, all of one width; keys drop the trailing zero bytes
+    packed = np.zeros((len(lattice), max(1, (1 << int(sizes.max())) // 8)), dtype=np.uint8)
+    for g in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == g)
+        supp = np.nonzero(lattice[rows])[1].reshape(-1, g)
+        masks = np.arange(1 << g)
+        step = max(1, (1 << 18) >> g)  # row blocks keep each gather near 2^18 cells
+        for lo in range(0, len(rows), step):
+            r = rows[lo : lo + step]
+            # flags[., m]: x^(a - m spread over supp(a)) lies in I, so m is a face
+            shifts = strides[supp[lo : lo + step]] @ (masks >> np.arange(g)[:, None] & 1)
+            flags = member[(lattice[r] @ strides)[:, None] - shifts]
+            for t in range(g):
+                f = masks[(masks >> t & 1) == 0]
+                cone[r] |= (flags[:, f] <= flags[:, f | 1 << t]).all(axis=1)
+            packed[r, : max(1, (1 << g) // 8)] = np.packbits(flags, axis=1)
+    unique, inverse = np.unique(packed[~cone], axis=0, return_inverse=True)
+    classes = tuple(row.tobytes().rstrip(b"\0") for row in unique)
+    return lattice[~cone], classes, inverse.reshape(-1)
 
 
 def betti_table(
@@ -342,29 +362,15 @@ def betti_table(
     _check_prime(p)
     if not I.is_proper:
         raise ValueError("Betti table needs a nonzero, non-unit ideal")
-    return _betti_table_cached(I, p, lattice_limit)
-
-
-@lru_cache(maxsize=200_000)
-def _betti_table_cached(I: MonomialIdeal, p: int, lattice_limit: int) -> BettiTable:
-    counts = divisor_counts(I, I.lcm_of_generators(), BOX_CELL_LIMIT)
-    points = _lcm_lattice(counts, lattice_limit)
-    member = (counts > 0).reshape(-1)
-    strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
-    entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    for a in points:
-        supp = np.nonzero(a)[0]
-        g = len(supp)
-        cands = np.repeat(a[None, :], 1 << g, axis=0)
-        cands[:, supp] -= _subset_bits(g)
-        flags = member[cands @ strides]
-        face_masks = frozenset(int(m) for m in np.nonzero(flags)[0])
-        ranks = _homology_ranks_masks(face_masks, p)
-        if ranks:
-            a_t = tuple(int(x) for x in a)
-            for d, r in ranks.items():
-                entries[(d + 1, a_t)] = r
-    return BettiTable(p, I.ambient, entries)
+    points, classes, inverse = _complex_classes(I, lattice_limit)
+    # by_class[c, i]: rank of H~_{i-1} of complex c, so beta_i at its points
+    by_class = np.zeros((len(classes), I.ambient + 1), dtype=np.int64)
+    for c, key in enumerate(classes):
+        for d, h in _complex_ranks(key, p):
+            by_class[c, d + 1] = h
+    # sorted by i, then by point, and the points are in lexicographic order
+    i, row = np.nonzero(by_class[inverse].T)
+    return BettiTable(p, I.ambient, points[row], i, by_class[inverse[row], i])
 
 
 @dataclass(frozen=True)

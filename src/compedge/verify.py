@@ -343,10 +343,6 @@ class _Budget:
         if (time.perf_counter() - self.start) * 1000.0 > self.budget_ms:
             raise _BudgetExceeded()
 
-    @property
-    def elapsed_ms(self) -> float:
-        return (time.perf_counter() - self.start) * 1000.0
-
 
 class _BudgetExceeded(Exception):
     pass
@@ -596,7 +592,8 @@ def _check_betti_field_independence(
     for k in range(1, min(st.cfg.k_max, 2) + 1):
         Ik = st.power(k)
         tables = [betti_table(Ik, p) for p in st.cfg.primes]
-        same = all(t.entries == tables[0].entries for t in tables[1:])
+        rows = [(t.i, t.multidegrees, t.rank) for t in tables]
+        same = all(all(map(np.array_equal, r, rows[0])) for r in rows[1:])
         ok = ok and same
         if not same:
             rpt.details.setdefault("betti-field-independence", {})[str(k)] = {

@@ -41,3 +41,23 @@ def random_ideals():
         return out
 
     return make
+
+
+@pytest.fixture(scope="session")
+def mixed_family(edged_census):
+    """The mixed-degree ideals: I_c(G) plus x_[n]/x_i over the isolated
+    vertices i, for every census graph having some edge and some isolated
+    vertex."""
+    from compedge.ideals import complementary_edge_ideal, ideal
+    from compedge.monomials import x_of_set
+
+    out = []
+    for n in (3, 4, 5):
+        for g in edged_census[n]:
+            iso = g.isolated_vertices
+            if not iso:
+                continue
+            gens = list(complementary_edge_ideal(g).generators)
+            gens += [x_of_set(set(range(n)) - {i}, n) for i in sorted(iso)]
+            out.append((g, ideal(gens, n)))
+    return out

@@ -30,14 +30,14 @@ from compedge.ideals import (
     power,
     symbolic_power,
 )
-from compedge.monomials import Monomial, x_of_set
+from compedge.monomials import Monomial
 from compedge.resolution import (
     betti_table,
     has_linear_quotients,
     is_componentwise_linear,
     reg_pd_depth,
 )
-from compedge.verify import ass_oracle, depth_zero_oracle, v_oracle
+from compedge.verify import SweepConfig, ass_oracle, depth_zero_oracle, sweep, v_oracle
 
 
 def _verdict(num: int, ok: bool, message: str) -> None:
@@ -61,23 +61,6 @@ def ass_tables(edged_census):
                 asses.append(ass_oracle(Ik))
             store[g] = asses
     return store
-
-
-@pytest.fixture(scope="session")
-def mixed_family(edged_census):
-    """The mixed-degree ideals: I_c(G) plus x_[n]/x_i over the isolated
-    vertices i, for every census graph having some edge and some isolated
-    vertex."""
-    out = []
-    for n in (3, 4, 5):
-        for g in edged_census[n]:
-            iso = g.isolated_vertices
-            if not iso:
-                continue
-            gens = list(complementary_edge_ideal(g).generators)
-            gens += [x_of_set(set(range(n)) - {i}, n) for i in sorted(iso)]
-            out.append((g, ideal(gens, n)))
-    return out
 
 
 @pytest.fixture(scope="session")
@@ -363,4 +346,18 @@ def test_criterion_12_oracle_self_consistency_fuzz():
         12,
         not discrepancies,
         f"{checked} random ideals fuzzed ({len(discrepancies)} discrepancies)",
+    )
+
+
+def test_criterion_13_stable_depth():
+    # through the sweep path: depth S/I^k at k = dstab bound n-1 equals b(G);
+    # a skipped graph counts as a failure, so the criterion cannot pass vacuously
+    reports = sweep(5, SweepConfig(k_max=4, checks=("depth-stable",)), n_min=3)
+    bad = [to_graph6(r.graph) for r in reports if r.summary["depth-stable"] is not True]
+    ok = not bad and len(reports) == 1093
+    _verdict(
+        13,
+        ok,
+        f"stable depth b(G) reached by k=n-1 through the sweep on {len(reports)} "
+        f"graphs at n<=5 ({len(bad)} failed or skipped)",
     )

@@ -24,6 +24,7 @@ from compedge.ideals import (
 )
 from compedge.monomials import Monomial, parse_monomial, x_of_set
 from compedge.resolution import (
+    BOX_CELL_LIMIT,
     DEFAULT_LATTICE_LIMIT,
     _boundary_rank,
     _lcm_lattice,
@@ -53,6 +54,63 @@ def lcm_lattice_reference(I):
     joined = np.where(below[:, :, None], gens[None, :, :], 0).max(axis=1)
     ok = below.any(axis=1) & (joined == grid).all(axis=1)
     return {tuple(a) for a in grid[ok].tolist()}
+
+
+def _is_cone(face_masks, vertex_masks):
+    """A cone over any vertex has vanishing reduced homology everywhere."""
+    rem = vertex_masks
+    while rem:
+        vbit = rem & -rem
+        if all(f | vbit in face_masks for f in face_masks):
+            return True
+        rem ^= vbit
+    return False
+
+
+def homology_ranks_reference(face_masks, p):
+    """Reduced homology ranks of a complex given as face bitmasks, skipping
+    cones, one complex at a time (no memo)."""
+    if face_masks == frozenset({0}):
+        return {-1: 1}
+    vertex_masks = 0
+    for f in face_masks:
+        vertex_masks |= f
+    if _is_cone(face_masks, vertex_masks):
+        return {}
+    by_dim = {}
+    for f in sorted(face_masks):
+        by_dim.setdefault(bin(f).count("1") - 1, []).append(f)
+    ranks = {}
+    rank_up = 0
+    for d in range(max(by_dim), -2, -1):
+        faces = by_dim.get(d, [])
+        rank_down = _boundary_rank(by_dim.get(d - 1, []), faces, p) if d >= 0 else 0
+        h = len(faces) - rank_down - rank_up
+        if h:
+            ranks[d] = h
+        rank_up = rank_down
+    return ranks
+
+
+def betti_entries_reference(I, p):
+    """Reference Betti table, the per-lattice-point loop that preceded the
+    distinct-complex kernel: build each point's face set, rank it, and
+    write its entries into a dict."""
+    counts = divisor_counts(I, I.lcm_of_generators(), BOX_CELL_LIMIT)
+    points = _lcm_lattice(counts, DEFAULT_LATTICE_LIMIT)
+    member = (counts > 0).reshape(-1)
+    strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
+    entries = {}
+    for a in points:
+        supp = np.nonzero(a)[0]
+        g = len(supp)
+        cands = np.repeat(a[None, :], 1 << g, axis=0)
+        cands[:, supp] -= np.arange(1 << g)[:, None] >> np.arange(g) & 1
+        flags = member[cands @ strides]
+        face_masks = frozenset(int(m) for m in np.nonzero(flags)[0])
+        for d, r in homology_ranks_reference(face_masks, p).items():
+            entries[(d + 1, tuple(int(x) for x in a))] = r
+    return entries
 
 
 def faces_with_closure(maximal):
@@ -158,6 +216,15 @@ class TestReducedHomology:
         assert reduced_homology_ranks(C, 2) == {1: 1, 2: 1}
         assert reduced_homology_ranks(C, 3) == {}
 
+    def test_returned_ranks_are_fresh(self):
+        C = simplicial_complex((0, 1), [frozenset(), frozenset({0}), frozenset({1})])
+        reduced_homology_ranks(C)[0] = 99
+        reduced_homology_ranks(C).clear()
+        assert reduced_homology_ranks(C) == {0: 1}
+
+    def test_void_complex(self):
+        assert reduced_homology_ranks(simplicial_complex((0, 1), [])) == {}
+
     def test_ground_limit(self):
         verts = tuple(range(13))
         C = simplicial_complex(verts, [frozenset()] + [frozenset({v}) for v in verts])
@@ -258,6 +325,49 @@ class TestBettiTable:
             counts = divisor_counts(I, I.lcm_of_generators())
             got = {tuple(a) for a in _lcm_lattice(counts, DEFAULT_LATTICE_LIMIT).tolist()}
             assert got == lcm_lattice_reference(I), str(I)
+
+    def test_kernel_agrees_with_reference(self, edged_census, mixed_family, random_ideals):
+        ideals = random_ideals(random.Random(17), 1000)
+        ideals += [
+            power(complementary_edge_ideal(g), k)
+            for n in (3, 4)
+            for g in edged_census[n]
+            for k in (1, 2, 3)
+        ]
+        ideals += [power(I, k) for _, I in mixed_family for k in (1, 2)]
+        mismatches = []
+        for I in ideals:
+            for p in (2, 3):
+                want = betti_entries_reference(I, p)
+                t = betti_table(I, p)
+                got = (t.entries, t.regularity, t.projective_dimension_ideal)
+                ref = (
+                    want,
+                    max(sum(a) - i for i, a in want),
+                    max(i for i, _ in want),
+                )
+                if got != ref or list(t.entries) != sorted(want):
+                    mismatches.append((str(I), p))
+        assert mismatches == []
+
+    def test_acyclic_non_cone_carries_no_betti_number(self):
+        # at (1,1,1,1) the complex is the path 3-0-1-2: not a cone, yet acyclic
+        I = I_("(x1*x4, x2*x3, x3*x4)", 4)
+        C = upper_koszul(I, Monomial((1, 1, 1, 1)))
+        assert not _is_cone(
+            frozenset(sum(1 << v for v in f) for f in C.faces), 0b1111
+        )
+        for p in (2, 3):
+            t = betti_table(I, p)
+            assert all(a != (1, 1, 1, 1) for _, a in t.entries)
+            assert t.regularity == 2 and t.projective_dimension_ideal == 1
+
+    def test_field_independent_tables_have_equal_arrays(self):
+        I = power(complementary_edge_ideal(path_graph(4)), 2)
+        t2, t3 = betti_table(I, 2), betti_table(I, 3)
+        assert t2.entries == t3.entries
+        for a, b in ((t2.multidegrees, t3.multidegrees), (t2.i, t3.i), (t2.rank, t3.rank)):
+            assert np.array_equal(a, b)
 
     def test_pretty_has_total_row(self):
         text = betti_table(I_("(x1, x2)", 2)).pretty()
