@@ -9,6 +9,10 @@ of lcm(G(I)) loses nothing: if (I : u) = P then (I : gcd(u, lcm)) = P,
 since exponents of u above the lcm never affect divisibility by a
 generator.  The fuzz suite cross-validates this against the independent
 localization/socle route.  The sweep scans each power once per graph.
+
+Strong persistence, I^(k+1) : I = I^k, and the symbolic-power identity
+I^(k) = I^k are decided on the same table, as membership over one box,
+without building the colon ideal or the symbolic power.
 """
 
 from __future__ import annotations
@@ -29,13 +33,11 @@ from .ideals import (
     LimitExceededError,
     MonomialIdeal,
     classify_big_degree,
-    colon_ideal,
     complementary_edge_ideal,
     divisor_counts,
     localize,
+    minimal_primes_squarefree,
     multiply,
-    power,
-    symbolic_power,
 )
 from .monomials import Monomial
 from .resolution import (
@@ -246,22 +248,70 @@ class StrongPersistenceResult:
     first_failure: int | None
 
 
+def _colon_exceeds_power(
+    I: MonomialIdeal, Ik: MonomialIdeal, Ik1: MonomialIdeal, divisor_limit: int
+) -> bool:
+    """True iff I^(k+1) : I is strictly larger than I^k.
+
+    I^k is always contained in the colon, so it is larger exactly when some
+    u outside I^k has x^(u+g) in I^(k+1) for every generator g of I.  Both
+    ideals are generated inside the box B of the larger lcm, so u ranges
+    over B, and u + g is clipped at B, which keeps membership in I^(k+1).
+    The clip is an edge padding of the membership table, so the table at
+    u + g is a shifted view of the padded one.
+    """
+    bound = np.maximum(Ik.lcm_of_generators().exponents, Ik1.lcm_of_generators().exponents)
+    box = Monomial(tuple(bound.tolist()))
+    escaped = divisor_counts(Ik, box, divisor_limit) == 0
+    member = divisor_counts(Ik1, box, divisor_limit) > 0
+    padded = np.pad(member, [(0, e) for e in I.lcm_of_generators().exponents], mode="edge")
+    for g in I.generators:
+        escaped &= padded[tuple(slice(e, e + b + 1) for e, b in zip(g.exponents, bound))]
+    return bool(escaped.any())
+
+
+def _strong_persistence(
+    I: MonomialIdeal, powers: Iterable[MonomialIdeal], divisor_limit: int
+) -> StrongPersistenceResult:
+    """Strong persistence along ``powers``, which yields I, I^2, ..., I^(k_max+1)."""
+    for k, (Ik, Ik1) in enumerate(itertools.pairwise(powers), start=1):
+        if _colon_exceeds_power(I, Ik, Ik1, divisor_limit):
+            return StrongPersistenceResult(False, k)
+    return StrongPersistenceResult(True, None)
+
+
 def strong_persistence_check(
     I: MonomialIdeal, k_max: int
 ) -> StrongPersistenceResult:
     """Check the ideal identity I^(k+1) : I = I^k for k = 1..k_max.
 
-    Whether this always holds for complementary edge ideals is open; the
-    result is recorded as an observation, never asserted.
+    Each identity is decided on the divisor-count tables of I^k and
+    I^(k+1) over one box.  Whether it always holds for complementary edge
+    ideals is open; the result is recorded as an observation, never
+    asserted.
     """
     _require_proper(I)
-    Ik = I
-    for k in range(1, k_max + 1):
-        Ik1 = multiply(Ik, I)
-        if colon_ideal(Ik1, I) != Ik:
-            return StrongPersistenceResult(False, k)
-        Ik = Ik1
-    return StrongPersistenceResult(True, None)
+    powers = itertools.accumulate(itertools.repeat(I, k_max + 1), multiply)
+    return _strong_persistence(I, powers, DEFAULT_DIVISOR_LIMIT)
+
+
+def _symbolic_equals_ordinary(
+    I: MonomialIdeal, Ik: MonomialIdeal, k: int, divisor_limit: int
+) -> bool:
+    """I^(k) = I^k for a proper squarefree I, given Ik = I^k.
+
+    x^a lies in I^(k) exactly when the exponents of a sum to at least k
+    over every minimal prime of I.  Both ideals are generated inside the
+    box {0..k}^n, so they are equal when these memberships agree with the
+    divisor-count table of I^k on that box.
+    """
+    n = I.ambient
+    ordinary = divisor_counts(Ik, Monomial((k,) * n), divisor_limit) > 0
+    axes = np.ogrid[(slice(0, k + 1),) * n]
+    symbolic = np.ones_like(ordinary)
+    for F in minimal_primes_squarefree(I):
+        symbolic &= sum(axes[i] for i in F) >= k
+    return bool(np.array_equal(symbolic, ordinary))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +609,7 @@ def _check_v(st: _GraphState, rpt: VerificationReport) -> bool:
 
 def _check_symbolic(st: _GraphState, rpt: VerificationReport) -> bool:
     predicted = formulas.symbolic_equals_ordinary_class(st.g)
-    actual = symbolic_power(st.ideal, 2) == st.power(2)
+    actual = _symbolic_equals_ordinary(st.ideal, st.power(2), 2, st.cfg.divisor_limit)
     rpt.details["symbolic"] = {
         "class_predicate": predicted,
         "second_power_symbolic_equals_ordinary": actual,
@@ -603,7 +653,8 @@ def _check_betti_field_independence(
 
 
 def _check_strong_persistence(st: _GraphState, rpt: VerificationReport) -> None:
-    res = strong_persistence_check(st.ideal, st.cfg.k_max)
+    powers = (st.power(k) for k in range(1, st.cfg.k_max + 2))
+    res = _strong_persistence(st.ideal, powers, st.cfg.divisor_limit)
     rpt.details["strong-persistence"] = {
         "observed_holds": res.holds,
         "first_failure_k": res.first_failure,

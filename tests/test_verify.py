@@ -20,19 +20,25 @@ from compedge.graphs import (
 from compedge.ideals import (
     LimitExceededError,
     colon,
+    colon_ideal,
     complementary_edge_ideal,
     ideal,
     localize,
     membership_box,
     minimal_primes_squarefree,
+    multiply,
     parse_ideal,
     power,
+    symbolic_power,
     unit_ideal,
 )
 from compedge.monomials import Monomial, parse_monomial, variable, x_of_set
 from compedge.verify import (
+    DEFAULT_DIVISOR_LIMIT,
     SweepConfig,
+    _colon_exceeds_power,
     _prime_colon_witnesses,
+    _symbolic_equals_ordinary,
     ass_oracle,
     depth_zero_oracle,
     local_v_oracle,
@@ -242,6 +248,74 @@ class TestStrongPersistence:
             complementary_edge_ideal(cycle_graph(4)), 3
         ).holds
         assert strong_persistence_check(I_("(x1, x2)", 2), 3).holds
+
+    @pytest.mark.parametrize("a", [3, 4, 5, 6, 7])
+    def test_gap_family(self, a):
+        # (x1^a, x1^(a-1) x2, x1 x2^(a-1), x2^a): (x1 x2)^(a-2) lies in
+        # I^2 : I but not in I once a >= 4
+        res = strong_persistence_check(gap_family(a), 3)
+        assert (res.holds, res.first_failure) == ((True, None) if a == 3 else (False, 1))
+
+    def test_k7_cubes_through_the_sweep(self):
+        cfg = SweepConfig(k_max=3, checks=("strong-persistence",))
+        rpt = run_graph_checks(complete_graph(7), cfg)
+        assert rpt.details["strong-persistence"] == {
+            "observed_holds": True,
+            "first_failure_k": None,
+        }
+        assert rpt.skipped["strong-persistence"].startswith("informational")
+
+
+def gap_family(a):
+    return I_(f"(x1^{a}, x1^{a - 1}*x2, x1*x2^{a - 1}, x2^{a})", 2)
+
+
+# strong persistence fails at k = 1, and each u in I^2 : I outside I has
+# u + g past the kernel's box B for some generator g, so only the clip at B
+# finds the failure
+CLIPPED_GAPS = (
+    "(x2^2*x3^4, x1*x2^5*x3, x1^2*x3^6, x1^2*x2^6, x1^4*x2^4*x3^2)",
+    "(x1^5*x2, x1^6*x3^5, x1^3*x2^5*x3^4, x1^2*x2^6*x3^6)",
+)
+
+
+class TestTableColons:
+    """The table decisions against the closures they replace in the sweep:
+    ``colon_ideal(I^(k+1), I) == I^k`` and ``symbolic_power(I, k) == I^k``."""
+
+    def test_strong_persistence_agrees_with_colon_ideal(self, edged_census, random_ideals):
+        ideals = random_ideals(random.Random(47), 1000)
+        ideals += [complementary_edge_ideal(g) for n in (3, 4) for g in edged_census[n]]
+        ideals += [gap_family(a) for a in range(3, 8)]
+        ideals += [I_(text, 3) for text in CLIPPED_GAPS]
+        failures = 0
+        for I in ideals:
+            powers = [I, multiply(I, I)]
+            powers.append(multiply(powers[1], I))
+            for k in (1, 2):
+                Ik, Ik1 = powers[k - 1], powers[k]
+                ref = colon_ideal(Ik1, I) != Ik
+                assert _colon_exceeds_power(I, Ik, Ik1, DEFAULT_DIVISOR_LIMIT) == ref, (str(I), k)
+                failures += ref
+        assert failures >= 6  # the gap family and CLIPPED_GAPS fail at k = 1
+
+    def test_symbolic_agrees_with_symbolic_power(self, edged_census, random_ideals):
+        ideals = [complementary_edge_ideal(g) for n in (3, 4, 5) for g in edged_census[n]]
+        ideals += random_ideals(random.Random(53), 300, e_max=1)
+        outcomes = Counter()
+        for I in ideals:
+            for k in (2, 3):
+                Ik = power(I, k)
+                ref = symbolic_power(I, k) == Ik
+                assert _symbolic_equals_ordinary(I, Ik, k, DEFAULT_DIVISOR_LIMIT) == ref, (str(I), k)
+                outcomes[ref] += 1
+        assert outcomes[True] and outcomes[False]
+
+    def test_oversized_box_is_a_limit_skip(self):
+        cfg = SweepConfig(k_max=2, checks=("strong-persistence", "symbolic"), divisor_limit=10)
+        rpt = run_graph_checks(complete_graph(4), cfg)
+        assert rpt.summary == {"symbolic": None, "strong-persistence": None}
+        assert all(r.startswith("limit: divisor box") for r in rpt.skipped.values())
 
 
 class TestCache:
