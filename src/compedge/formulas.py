@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import (
     Graph,
     complete_graph,
@@ -25,8 +27,8 @@ from .ideals import (
     BigDegreeCase,
     CaseClassification,
     MonomialIdeal,
-    complementary_edge_ideal,
     ideal,
+    minimal_supports,
 )
 from .monomials import x_of_set
 
@@ -94,31 +96,50 @@ def ass_first_power(g: Graph) -> set[frozenset[int]]:
     return out
 
 
+def localization_table(g: Graph, masks) -> np.ndarray:
+    """Monomial localizations of I_c(G), from the combinatorial side, one
+    row per nonempty vertex subset F given as a bitmask in ``masks``.
+
+    With A_F the vertices of F isolated inside G|_F but not in G, the
+    localization at P_F is I_c(G|_F) + (x_F/x_i : i in A_F) whenever some
+    edge of G meets F, and the principal ideal (x_F) otherwise.  These
+    generators are squarefree, with supports F - e for the edges e inside F,
+    F - {i} for i in A_F, or F.  Row r of the (len(masks), 2^n) boolean
+    result marks the minimal ones, in the original vertex labels.
+    """
+    _require_formula_hypotheses(g)
+    n = g.n
+    F = np.asarray(masks, dtype=np.int64).reshape(-1, 1)
+    if ((F < 1) | (F >= 1 << n)).any():
+        raise ValueError(f"vertex subsets must be nonempty bitmasks below 2^{n}")
+    edges = np.array([1 << i | 1 << j for i, j in g.edges], dtype=np.int64)
+    bits = 1 << np.arange(n, dtype=np.int64)
+    neighbours = np.zeros(n, dtype=np.int64)
+    for i, j in g.edges:
+        neighbours[i] |= 1 << j
+        neighbours[j] |= 1 << i
+    touched = int(np.bitwise_or.reduce(edges))
+    in_a_f = ((F & bits & touched) != 0) & ((F & neighbours) == 0)
+    supports = np.concatenate([F ^ edges, F ^ bits, F], axis=1)
+    present = np.concatenate(
+        [(F & edges) == edges, in_a_f, (F & touched) == 0], axis=1
+    )
+    return minimal_supports(supports, present, n)
+
+
 def localization_formula(g: Graph, F) -> MonomialIdeal:
     """Monomial localization of I_c(G) at P_F, from the combinatorial side.
 
-    With A_F the vertices of F isolated inside G|_F but not in G, the
-    localization is I_c(G|_F) + (x_F/x_i : i in A_F) whenever some edge of
-    G meets F, and the principal ideal (x_F) otherwise.  The result lives
-    in the |F|-variable ring with the order-preserving index map sorted(F).
+    Row F of :func:`localization_table`, as an ideal in the |F|-variable
+    ring with the order-preserving index map sorted(F).
     """
-    _require_formula_hypotheses(g)
     fs = sorted(set(F))
-    if not fs:
-        raise ValueError("localization needs a nonempty vertex subset")
-    if fs[0] < 0 or fs[-1] >= g.n:
-        raise ValueError(f"vertices {fs} out of range for n={g.n}")
+    (row,) = localization_table(g, [sum(1 << i for i in fs)])
     m = len(fs)
-    touched = {v for e in g.edges for v in e}
-    if not touched & set(fs):
-        return ideal([x_of_set(range(m), m)], m)
-    sub, _ = induced_subgraph(g, fs)
-    gens = list(complementary_edge_ideal(sub).generators)
-    for pos, i in enumerate(fs):
-        if sub.is_isolated(pos) and i in touched:
-            gens.append(x_of_set(set(range(m)) - {pos}, m))
-    # some vertex of F meets an edge of G, so a generator always survives
-    assert gens
+    gens = [
+        x_of_set([pos for pos, i in enumerate(fs) if s >> i & 1], m)
+        for s in np.flatnonzero(row).tolist()
+    ]
     return ideal(gens, m)
 
 

@@ -14,6 +14,10 @@ intersections and colons form those candidates by broadcasting over
 The oracles that scan the divisor box of an ideal all read one table,
 :func:`divisor_counts`, the number of minimal generators dividing each box
 monomial.
+
+Squarefree generating sets held as vertex bitmasks, many at once, are
+minimalized by :func:`minimal_supports` into one boolean table; minimal
+primes are minimal transversals of the same bitmasks.
 """
 
 from __future__ import annotations
@@ -394,24 +398,48 @@ def classify_big_degree(I: MonomialIdeal) -> CaseClassification:
 # primes and symbolic powers
 
 
+def minimal_supports(supports: np.ndarray, present: np.ndarray, n: int) -> np.ndarray:
+    """Row-wise minimal supports, as a boolean table.
+
+    ``supports`` is an (R, K) integer array of vertex bitmasks over n
+    vertices and ``present`` an (R, K) boolean array marking the ones row r
+    holds.  Entry (r, s) of the (R, 2^n) result is true iff row r holds s
+    and no support it holds is a proper subset of s: the supports of the
+    minimal generators of the squarefree ideal that row r generates.
+    """
+    outer = supports[:, :, None]
+    inner = supports[:, None, :]
+    below = present[:, None, :] & ((inner & ~outer) == 0) & (inner != outer)
+    keep = present & ~below.any(axis=2)
+    rows = np.broadcast_to(np.arange(supports.shape[0])[:, None], supports.shape)
+    table = np.zeros((supports.shape[0], 1 << n), dtype=bool)
+    table[rows[keep], supports[keep]] = True
+    return table
+
+
 def minimal_primes_squarefree(I: MonomialIdeal) -> set[frozenset[int]]:
     """Minimal primes of a squarefree ideal: minimal transversals of the
-    generator supports, found by subset enumeration over supp(I)."""
+    generator supports, found by enumerating the subsets of supp(I).
+
+    Transversals are closed upward, so a transversal is minimal exactly
+    when dropping any one of its elements leaves a non-transversal.
+    """
     if not I.is_squarefree:
         raise ValueError("minimal primes via transversals requires squarefree input")
     if not I.is_proper:
         raise ValueError("zero and unit ideals have no associated primes here")
-    supports = [g.support for g in I.generators]
-    universe = sorted(I.support)
-    found: list[frozenset[int]] = []
-    for size in range(1, len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            cand = frozenset(combo)
-            if any(prev <= cand for prev in found):
-                continue
-            if all(cand & s for s in supports):
-                found.append(cand)
-    return set(found)
+    held = I.exponent_matrix() > 0
+    universe = np.flatnonzero(held.any(axis=0)).tolist()
+    # subset t of the support, bit p standing for universe[p]
+    drop = 1 << np.arange(len(universe))
+    gens = held[:, universe] @ drop
+    t = np.arange(1 << len(universe))[:, None]
+    transversal = ((t & gens) != 0).all(axis=1)
+    minimal = transversal & (((t & drop) == 0) | ~transversal[t & ~drop]).all(axis=1)
+    return {
+        frozenset(v for p, v in enumerate(universe) if m >> p & 1)
+        for m in np.flatnonzero(minimal).tolist()
+    }
 
 
 def prime_power(F: Iterable[int], k: int, ambient: int) -> MonomialIdeal:

@@ -61,3 +61,28 @@ def mixed_family(edged_census):
             gens += [x_of_set(set(range(n)) - {i}, n) for i in sorted(iso)]
             out.append((g, ideal(gens, n)))
     return out
+
+
+@pytest.fixture(scope="session")
+def localization_graphs(edged_census):
+    """Graphs for the localization-table differential tests: the n <= 5
+    census, every 16th labeled graph with an edge at n = 6, K7, C7, P7 and
+    small graphs padded with isolated vertices."""
+    from compedge.graphs import (
+        complete_graph,
+        cycle_graph,
+        enumerate_labeled_graphs,
+        matching_graph,
+        path_graph,
+        with_isolated,
+    )
+
+    graphs = [g for n in (3, 4, 5) for g in edged_census[n]]
+    graphs += [g for g in enumerate_labeled_graphs(6) if g.edges][::16]
+    graphs += [complete_graph(7), cycle_graph(7), path_graph(7)]
+    graphs += [
+        with_isolated(h, count)
+        for h in (matching_graph(1), path_graph(3), complete_graph(3), cycle_graph(4))
+        for count in (1, 2, 3)
+    ]
+    return graphs

@@ -1,13 +1,17 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
+import compedge.formulas
 from compedge.formulas import (
     ass_first_power,
     ass_infinity,
     depth_and_dstab_closed_form,
     linear_powers_predicate,
     localization_formula,
+    localization_table,
     reg_closed_form,
     symbolic_equals_ordinary_class,
     v_closed_form,
@@ -17,6 +21,7 @@ from compedge.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    induced_subgraph,
     matching_graph,
     path_graph,
     with_isolated,
@@ -24,9 +29,12 @@ from compedge.graphs import (
 from compedge.ideals import (
     classify_big_degree,
     complementary_edge_ideal,
+    ideal,
     localize,
+    minimal_supports,
     parse_ideal,
 )
+from compedge.monomials import x_of_set
 
 
 def paw():
@@ -98,6 +106,30 @@ class TestAssFirstPower:
         assert ass_first_power(paw()) == {fs(1, 4), fs(2, 4), fs(1, 2, 3)}
 
 
+def localization_formula_reference(g, F):
+    """Reference for the localization formula, built per subset: I_c of the
+    induced subgraph plus x_F/x_i over A_F, or (x_F) when F meets no edge,
+    in the |F|-variable ring indexed by sorted(F)."""
+    fs = sorted(set(F))
+    m = len(fs)
+    touched = {v for e in g.edges for v in e}
+    if not touched & set(fs):
+        return ideal([x_of_set(range(m), m)], m)
+    sub, _ = induced_subgraph(g, fs)
+    gens = list(complementary_edge_ideal(sub).generators)
+    for pos, i in enumerate(fs):
+        if sub.is_isolated(pos) and i in touched:
+            gens.append(x_of_set(set(range(m)) - {pos}, m))
+    return ideal(gens, m)
+
+
+def original_supports(I, F):
+    """Generator supports of an ideal indexed by sorted(F), as bitmasks in
+    the original labels."""
+    fs = sorted(F)
+    return {sum(1 << fs[pos] for pos in g.support) for g in I.generators}
+
+
 class TestLocalizationFormula:
     def test_paw(self):
         got = localization_formula(paw(), [0, 3])
@@ -114,8 +146,6 @@ class TestLocalizationFormula:
         assert got == parse_ideal("(x1*x2)", 2)
 
     def test_matches_direct_localization_on_sample(self, edged_census):
-        import itertools
-
         rng = random.Random(8)
         graphs = edged_census[4] + rng.sample(edged_census[5], 40)
         for g in graphs:
@@ -124,9 +154,36 @@ class TestLocalizationFormula:
                 for F in itertools.combinations(range(g.n), size):
                     assert localization_formula(g, F) == localize(I, F)
 
+    def test_table_rows_match_reference(self, localization_graphs):
+        for g in localization_graphs:
+            table = localization_table(g, range(1, 1 << g.n))
+            assert table.shape == ((1 << g.n) - 1, 1 << g.n)
+            for mask, row in enumerate(table, start=1):
+                F = [i for i in range(g.n) if mask >> i & 1]
+                want = original_supports(localization_formula_reference(g, F), F)
+                assert set(np.flatnonzero(row).tolist()) == want, (str(g), F)
+
+    def test_proposition_lists_minimal_generators(self, monkeypatch, localization_graphs):
+        # I_c(G|_F) and x_F/x_i over A_F form an antichain, so minimalizing
+        # the proposition's generators drops none of them
+        def keeps_every_generator(supports, present, n):
+            table = minimal_supports(supports, present, n)
+            held = [set(s[p].tolist()) for s, p in zip(supports, present)]
+            assert [set(np.flatnonzero(row).tolist()) for row in table] == held
+            return table
+
+        monkeypatch.setattr(compedge.formulas, "minimal_supports", keeps_every_generator)
+        for g in localization_graphs:
+            localization_table(g, range(1, 1 << g.n))
+
     def test_guards(self):
         with pytest.raises(ValueError):
             localization_formula(paw(), [])
+        with pytest.raises(ValueError):
+            localization_formula(paw(), [0, 4])
+        for bad in ([0], [16], [-1]):
+            with pytest.raises(ValueError):
+                localization_table(paw(), bad)
 
 
 class TestRegClosedForm:

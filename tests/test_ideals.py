@@ -433,6 +433,22 @@ class TestMu:
         assert zero_ideal(3).mu(2) == 0
 
 
+def _ref_minimal_primes(I):
+    """Reference: minimal transversals of the generator supports, by a
+    frozenset search over the subsets of supp(I) in increasing size."""
+    supports = [g.support for g in I.generators]
+    universe = sorted(I.support)
+    found = []
+    for size in range(1, len(universe) + 1):
+        for combo in itertools.combinations(universe, size):
+            cand = frozenset(combo)
+            if any(prev <= cand for prev in found):
+                continue
+            if all(cand & s for s in supports):
+                found.append(cand)
+    return set(found)
+
+
 class TestMinimalPrimes:
     def test_matching(self):
         got = minimal_primes_squarefree(I_("(x1*x2, x3*x4)", 4))
@@ -452,6 +468,16 @@ class TestMinimalPrimes:
             minimal_primes_squarefree(I_("(x1^2)", 1))
         with pytest.raises(ValueError):
             minimal_primes_squarefree(zero_ideal(2))
+
+    def test_agrees_with_reference(self, edged_census, random_ideals):
+        ideals = [complementary_edge_ideal(g) for n in (3, 4, 5) for g in edged_census[n]]
+        ideals += [
+            complementary_edge_ideal(g)
+            for g in [g for g in enumerate_labeled_graphs(6) if g.edges][::8]
+        ]
+        ideals += random_ideals(random.Random(47), 400, n_max=6, e_max=1)
+        for I in ideals:
+            assert minimal_primes_squarefree(I) == _ref_minimal_primes(I), str(I)
 
 
 class TestSymbolicPower:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import compedge.cache
+import compedge.formulas
 import compedge.verify
 from compedge.cache import DiskCache, cache_key
 from compedge.formulas import ass_infinity
@@ -26,6 +27,7 @@ from compedge.ideals import (
     localize,
     membership_box,
     minimal_primes_squarefree,
+    minimal_supports,
     multiply,
     parse_ideal,
     power,
@@ -37,6 +39,7 @@ from compedge.verify import (
     DEFAULT_DIVISOR_LIMIT,
     SweepConfig,
     _colon_exceeds_power,
+    _localization_supports,
     _prime_colon_witnesses,
     _symbolic_equals_ordinary,
     ass_oracle,
@@ -316,6 +319,45 @@ class TestTableColons:
         rpt = run_graph_checks(complete_graph(4), cfg)
         assert rpt.summary == {"symbolic": None, "strong-persistence": None}
         assert all(r.startswith("limit: divisor box") for r in rpt.skipped.values())
+
+
+class TestLocalizationTables:
+    def test_oracle_rows_are_localize_supports(self, localization_graphs):
+        for g in localization_graphs:
+            I = complementary_edge_ideal(g)
+            table = _localization_supports(I, np.arange(1, 1 << g.n))
+            for mask, row in enumerate(table, start=1):
+                fs = [i for i in range(g.n) if mask >> i & 1]
+                want = {
+                    sum(1 << fs[pos] for pos in u.support)
+                    for u in localize(I, fs).generators
+                }
+                assert set(np.flatnonzero(row).tolist()) == want, (str(g), fs)
+
+    def test_wrong_formula_reports_subsets_by_size_then_lex(self, monkeypatch):
+        def without_a_f(g, masks):
+            # the proposition with its x_F/x_i terms dropped
+            F = np.asarray(masks).reshape(-1, 1)
+            edges = np.array([1 << i | 1 << j for i, j in g.edges])
+            touched = np.bitwise_or.reduce(edges)
+            supports = np.concatenate([F ^ edges, F], axis=1)
+            present = np.concatenate([(F & edges) == edges, (F & touched) == 0], axis=1)
+            return minimal_supports(supports, present, g.n)
+
+        monkeypatch.setattr(compedge.formulas, "localization_table", without_a_f)
+        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        rpt = run_graph_checks(star, SweepConfig(checks=("localization",)))
+        assert rpt.summary["localization"] is False
+        # A_F is nonempty exactly when F holds a vertex with no neighbour in F
+        assert rpt.details["localization"]["mismatched_subsets"] == [
+            [1], [2], [3], [4], [2, 3], [2, 4], [3, 4], [2, 3, 4]
+        ]
+
+    def test_n7_localization_and_symbolic(self):
+        cfg = SweepConfig(checks=("localization", "symbolic"))
+        for g in (complete_graph(7), cycle_graph(7), path_graph(7)):
+            rpt = run_graph_checks(g, cfg)
+            assert rpt.summary == {"localization": True, "symbolic": True}, str(g)
 
 
 class TestCache:
