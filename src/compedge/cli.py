@@ -195,7 +195,6 @@ def cmd_sweep(args) -> int:
         _sweep_config(args, normalize_checks(args.checks.split(","))),
         n_min=args.nmin,
         workers=args.workers,
-        census_limit=args.census_limit,
     )
     summary = markdown_summary(reports)
     if args.out:
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--nmin", type=int, default=None, help="defaults to --nmax")
     sweep_p.add_argument("--checks", default="all", help=f"comma list from {', '.join(ALL_CHECKS)} or 'all'")
     sweep_p.add_argument("--workers", type=int, default=1)
-    sweep_p.add_argument("--census-limit", type=int, default=6)
     _add_common_flags(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep)
 

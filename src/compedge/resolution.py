@@ -295,7 +295,7 @@ class BettiTable:
         }
 
 
-def _lcm_lattice(counts: np.ndarray, lattice_limit: int) -> np.ndarray:
+def _lcm_lattice(counts: np.ndarray) -> np.ndarray:
     """The joins of nonempty generator subsets, as rows of exponents.
 
     ``counts`` is the :func:`~compedge.ideals.divisor_counts` table over the
@@ -310,24 +310,22 @@ def _lcm_lattice(counts: np.ndarray, lattice_limit: int) -> np.ndarray:
         up[axis], down[axis] = slice(1, None), slice(None, -1)
         keep[tuple(up)] &= counts[tuple(up)] > counts[tuple(down)]
     points = np.argwhere(keep)
-    if points.shape[0] > lattice_limit:
+    if points.shape[0] > DEFAULT_LATTICE_LIMIT:
         raise LimitExceededError(
-            f"lcm lattice has {points.shape[0]} points, limit {lattice_limit}"
+            f"lcm lattice has {points.shape[0]} points, limit {DEFAULT_LATTICE_LIMIT}"
         )
     return points
 
 
 @lru_cache(maxsize=64)
-def _complex_classes(
-    I: MonomialIdeal, lattice_limit: int
-) -> tuple[np.ndarray, tuple[bytes, ...], np.ndarray]:
+def _complex_classes(I: MonomialIdeal) -> tuple[np.ndarray, tuple[bytes, ...], np.ndarray]:
     """The lcm-lattice points of I whose upper-Koszul complex is not a cone
     (cones are acyclic), in lexicographic order; the distinct complexes among
     them, as :func:`_complex_ranks` keys; and per point its complex's index.
     Nothing here depends on the field.
     """
     counts = divisor_counts(I, I.lcm_of_generators(), BOX_CELL_LIMIT)
-    lattice = _lcm_lattice(counts, lattice_limit)
+    lattice = _lcm_lattice(counts)
     member = (counts > 0).reshape(-1)
     strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
     sizes = np.count_nonzero(lattice, axis=1)
@@ -353,16 +351,12 @@ def _complex_classes(
     return lattice[~cone], classes, inverse.reshape(-1)
 
 
-def betti_table(
-    I: MonomialIdeal,
-    p: int = DEFAULT_PRIME,
-    lattice_limit: int = DEFAULT_LATTICE_LIMIT,
-) -> BettiTable:
+def betti_table(I: MonomialIdeal, p: int = DEFAULT_PRIME) -> BettiTable:
     """Multigraded Betti table of I over F_p via upper-Koszul homology."""
     _check_prime(p)
     if not I.is_proper:
         raise ValueError("Betti table needs a nonzero, non-unit ideal")
-    points, classes, inverse = _complex_classes(I, lattice_limit)
+    points, classes, inverse = _complex_classes(I)
     # by_class[c, i]: rank of H~_{i-1} of complex c, so beta_i at its points
     by_class = np.zeros((len(classes), I.ambient + 1), dtype=np.int64)
     for c, key in enumerate(classes):

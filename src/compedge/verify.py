@@ -739,7 +739,6 @@ def sweep(
     cfg: SweepConfig | None = None,
     n_min: int | None = None,
     workers: int = 1,
-    census_limit: int = 6,
 ) -> list[VerificationReport]:
     """Run the selected checks over every labeled graph with at least one
     edge on n_min..n_max vertices, in deterministic census order."""
@@ -750,7 +749,7 @@ def sweep(
     graphs = [
         g
         for n in range(n_min, n_max + 1)
-        for g in enumerate_labeled_graphs(n, limit=census_limit)
+        for g in enumerate_labeled_graphs(n)
         if g.edges
     ]
     if workers <= 1:

@@ -2,8 +2,13 @@
 scale, with exact (tolerance-zero) equality of the discrete invariants.
 
 One test per criterion; each prints a single `criterion N: PASS/FAIL` line.
-Shared heavy computations (the associated-prime tables for the census) live
-in session-scoped fixtures.  Random subsamples are seeded and reproducible.
+The graph criteria assert over the reports of the census sweep, the same
+verification path as ``compedge sweep``: two session-scoped sweeps of the
+n <= 5 census, one for the colon-witness checks and one for the homology
+checks, feed most of them.  The mixed-degree and squarefree Veronese ideals
+are not I_c(G) of any graph, so the sweep cannot take them; criteria 6, 7
+and 9 check those with library loops, and criterion 12 fuzzes random
+ideals.  Random subsamples are seeded and reproducible.
 """
 
 import itertools
@@ -11,31 +16,27 @@ import random
 
 import pytest
 
-from compedge.formulas import (
-    ass_infinity,
-    linear_powers_predicate,
-    reg_closed_form,
-    v_closed_form,
-)
+from compedge.formulas import linear_powers_predicate
 from compedge.graphs import enumerate_labeled_graphs, matching_graph, to_graph6
 from compedge.ideals import (
     classify_big_degree,
-    complementary_edge_ideal,
     ideal,
-    localize,
     minimal_primes_squarefree,
-    multiply,
     power,
 )
 from compedge.monomials import Monomial
 from compedge.resolution import (
-    betti_table,
     has_linear_quotients,
     is_componentwise_linear,
     reg_pd_depth,
 )
-from compedge.verify import SweepConfig, ass_oracle, depth_zero_oracle, sweep, v_oracle
-
+from compedge.verify import (
+    SweepConfig,
+    ass_oracle,
+    run_graph_checks,
+    stable_ass_localization,
+    sweep,
+)
 
 def _verdict(num: int, ok: bool, message: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {message}")
@@ -44,20 +45,17 @@ def _verdict(num: int, ok: bool, message: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def ass_tables(edged_census):
-    """Oracle Ass(I_c(G)^k) for k = 1..4 per census graph (n <= 5)."""
-    store = {}
-    for n in (3, 4, 5):
-        for g in edged_census[n]:
-            I = complementary_edge_ideal(g)
-            asses = []
-            Ik = I
-            for k in range(1, 5):
-                if k > 1:
-                    Ik = multiply(Ik, I)
-                asses.append(ass_oracle(Ik))
-            store[g] = asses
-    return store
+def witness_reports():
+    """Ass, persistence, entry bounds and v at k <= 4 on the n <= 5 census."""
+    cfg = SweepConfig(k_max=4, checks=("ass", "persistence", "entry-bound", "v"))
+    return sweep(5, cfg, n_min=3)
+
+
+@pytest.fixture(scope="session")
+def homology_reports():
+    """reg, depth, linear powers and Betti tables at k <= 3 on the n <= 5 census."""
+    checks = ("reg", "depth-monotone", "linear", "betti-field-independence")
+    return sweep(5, SweepConfig(k_max=3, checks=checks), n_min=3)
 
 
 @pytest.fixture(scope="session")
@@ -73,34 +71,44 @@ def veronese_family():
     return out
 
 
-def test_criterion_1_theorem_a_stable_set(edged_census, ass_tables):
-    mismatches = []
-    for g in edged_census[5]:
-        if ass_tables[g][2] != ass_infinity(g).stable_set:
-            mismatches.append(to_graph6(g))
+def _ass(rpt, k: int) -> set[tuple[int, ...]]:
+    return {tuple(F) for F in rpt.per_k[k]["ass_oracle"]}
+
+
+def _entry_bound_counterexamples(reports) -> list[tuple[str, list[int], int]]:
+    """Stable primes P_F, |F| >= 2, absent from Ass(I^k) at k = max(1, |F|-2)."""
+    return [
+        (to_graph6(r.graph), row["prime"], row["bound"])
+        for r in reports
+        for row in r.details["entry-bound"]
+        if tuple(row["prime"]) not in _ass(r, row["bound"])
+    ]
+
+
+def test_criterion_1_theorem_a_stable_set(witness_reports):
+    n5 = [r for r in witness_reports if r.graph.n == 5]
+    mismatches = [to_graph6(r.graph) for r in n5 if not r.per_k[3]["ass_formula_match"]]
     rng = random.Random(20250810)
-    unstable = []
-    for g in rng.sample(edged_census[5], 100):
-        if ass_tables[g][2] != ass_tables[g][3]:
-            unstable.append(to_graph6(g))
+    unstable = [
+        to_graph6(r.graph) for r in rng.sample(n5, 100) if _ass(r, 3) != _ass(r, 4)
+    ]
     ok = not mismatches and not unstable
     _verdict(
         1,
         ok,
-        f"Ass(I^3) vs stable formula on {len(edged_census[5])} graphs "
+        f"Ass(I^3) vs stable formula on {len(n5)} graphs "
         f"({len(mismatches)} mismatches); k=3 vs k=4 stability on 100 samples "
         f"({len(unstable)} unstable)",
     )
 
 
-def test_criterion_2_theorem_a_persistence(edged_census, ass_tables):
-    violations = []
-    for n in (3, 4, 5):
-        for g in edged_census[n]:
-            asses = ass_tables[g]
-            for k in (1, 2, 3):
-                if not asses[k - 1] <= asses[k]:
-                    violations.append((to_graph6(g), k))
+def test_criterion_2_theorem_a_persistence(witness_reports):
+    violations = [
+        (to_graph6(r.graph), k)
+        for r in witness_reports
+        for k in (1, 2, 3)
+        if not _ass(r, k) <= _ass(r, k + 1)
+    ]
     _verdict(
         2,
         not violations,
@@ -119,22 +127,10 @@ def test_criterion_3_localization_proposition():
     _verdict(3, mismatches == 0, f"{total} localizations compared, {mismatches} mismatches")
 
 
-def test_criterion_4_entry_bound_corollary(edged_census, ass_tables):
-    counterexamples = []
-    for n in (3, 4, 5):
-        for g in edged_census[n]:
-            pred = ass_infinity(g)
-            asses = ass_tables[g]
-            for F in pred.stable_set:
-                if len(F) < 2:
-                    continue
-                k = max(1, len(F) - 2)
-                if F not in asses[k - 1]:
-                    counterexamples.append(
-                        (to_graph6(g), tuple(sorted(i + 1 for i in F)), k)
-                    )
+def test_criterion_4_entry_bound_corollary(witness_reports):
+    counterexamples = _entry_bound_counterexamples(witness_reports)
     sample = ", ".join(
-        f"{g6} P_{list(F)} absent at k={k}" for g6, F, k in counterexamples[:4]
+        f"{g6} P_{F} absent at k={k}" for g6, F, k in counterexamples[:4]
     )
     _verdict(
         4,
@@ -144,23 +140,29 @@ def test_criterion_4_entry_bound_corollary(edged_census, ass_tables):
     )
 
 
-def test_criterion_5_regularity_closed_form(edged_census):
-    mismatches = []
-    for n in (3, 4, 5):
-        for g in edged_census[n]:
-            I = complementary_edge_ideal(g)
-            cls = classify_big_degree(I)
-            for k in (1, 2, 3):
-                want = reg_closed_form(cls, k)
-                got = reg_pd_depth(power(I, k)).regularity
-                if got != want:
-                    mismatches.append((to_graph6(g), k, got, want))
-    branch = []
-    I6 = complementary_edge_ideal(matching_graph(3))
-    for k, want in ((1, 5), (2, 10), (3, 14)):
-        got = reg_pd_depth(power(I6, k)).regularity
-        if got != want:
-            branch.append((k, got, want))
+def test_entry_bound_counterexamples_are_pinned(witness_reports):
+    # criterion 4 fails by design; this pins what it finds, so a change in
+    # the count or in the graphs carrying it cannot go unnoticed
+    counterexamples = _entry_bound_counterexamples(witness_reports)
+    assert len(counterexamples) == 549
+    failing = {to_graph6(r.graph) for r in witness_reports if r.summary["entry-bound"] is False}
+    assert len(failing) == 409
+    assert {g6 for g6, _, _ in counterexamples} == failing
+
+
+def test_criterion_5_regularity_closed_form(homology_reports):
+    mismatches = [
+        (to_graph6(r.graph), k, row["reg_oracle"], row["reg_formula"])
+        for r in homology_reports
+        for k, row in r.per_k.items()
+        if row["reg_oracle"] != row["reg_formula"]
+    ]
+    matching = run_graph_checks(matching_graph(3), SweepConfig(k_max=3, checks=("reg",)))
+    branch = [
+        (k, matching.per_k[k]["reg_oracle"], want)
+        for k, want in ((1, 5), (2, 10), (3, 14))
+        if matching.per_k[k]["reg_oracle"] != want
+    ]
     ok = not mismatches and not branch
     _verdict(
         5,
@@ -193,71 +195,67 @@ def test_criterion_6_mixed_ideals(mixed_family):
     )
 
 
-def test_criterion_7_depth_monotonicity(edged_census, mixed_family, veronese_family):
-    ideals = [
-        complementary_edge_ideal(g) for n in (3, 4, 5) for g in edged_census[n]
-    ]
-    ideals += [I for _, I in mixed_family]
-    ideals += veronese_family
-    bad = 0
+def test_criterion_7_depth_monotonicity(homology_reports, mixed_family, veronese_family):
+    ideals = [I for _, I in mixed_family] + veronese_family
+    bad = sum(1 for r in homology_reports if r.summary["depth-monotone"] is not True)
     for I in ideals:
         depths = [reg_pd_depth(power(I, k)).depth for k in (1, 2, 3)]
         if not all(depths[i] >= depths[i + 1] for i in range(2)):
             bad += 1
+    total = len(homology_reports) + len(ideals)
     _verdict(
         7,
         bad == 0,
-        f"depth S/I^k non-increasing for k=1..3 on {len(ideals)} ideals ({bad} violations)",
+        f"depth S/I^k non-increasing for k=1..3 on {total} ideals ({bad} violations)",
     )
 
 
-def test_criterion_8_betti_field_independence(edged_census):
-    bad = []
-    for n in (3, 4, 5):
-        for g in edged_census[n]:
-            I = complementary_edge_ideal(g)
-            for k in (1, 2):
-                Ik = power(I, k)
-                if betti_table(Ik, 2).entries != betti_table(Ik, 3).entries:
-                    bad.append((to_graph6(g), k))
+def _betti_differences(rpt) -> int:
+    """(graph, k) pairs whose tables differ; a skipped graph counts once."""
+    name = "betti-field-independence"
+    return len(rpt.details.get(name, {})) or int(rpt.summary[name] is not True)
+
+
+def test_criterion_8_betti_field_independence(homology_reports):
+    bad = sum(_betti_differences(r) for r in homology_reports)
     rng = random.Random(882)
     six = [g for g in enumerate_labeled_graphs(6) if g.edges]
-    for g in rng.sample(six, 200):
-        I = complementary_edge_ideal(g)
-        for k in (1, 2):
-            Ik = power(I, k)
-            if betti_table(Ik, 2).entries != betti_table(Ik, 3).entries:
-                bad.append((to_graph6(g), k))
+    cfg = SweepConfig(k_max=2, checks=("betti-field-independence",))
+    bad += sum(_betti_differences(run_graph_checks(g, cfg)) for g in rng.sample(six, 200))
     _verdict(
         8,
         not bad,
         f"Betti tables over F_2 and F_3 identical for k<=2, full n<=5 census "
-        f"plus 200 graphs at n=6 ({len(bad)} differences)",
+        f"plus 200 graphs at n=6 ({bad} differences)",
     )
 
 
 def test_criterion_9_linear_powers_equivalences(
-    edged_census, mixed_family, veronese_family
+    homology_reports, mixed_family, veronese_family
 ):
-    ideals = [
-        complementary_edge_ideal(g) for n in (3, 4, 5) for g in edged_census[n]
-    ]
-    ideals += [I for _, I in mixed_family]
-    ideals += veronese_family
+    ideals = [I for _, I in mixed_family] + veronese_family
     disagreements = []
+    for r in homology_reports:
+        linear = r.details["linear"]  # absent, and so a KeyError, if skipped
+        disagreements += [
+            (to_graph6(r.graph), k)
+            for k, row in linear["per_k"].items()
+            if not (row["linear_quotients"] == row["componentwise_linear"] == linear["predicted"])
+        ]
     for I in ideals:
         predicted = linear_powers_predicate(classify_big_degree(I))
         for k in (1, 2, 3):
             Ik = power(I, k)
-            lq, _ = has_linear_quotients(Ik, limit=2000)
+            lq, _ = has_linear_quotients(Ik)
             cl = is_componentwise_linear(Ik)
             if not (lq == cl == predicted):
                 disagreements.append((str(I), k, lq, cl, predicted))
+    total = len(homology_reports) + len(ideals)
     _verdict(
         9,
         not disagreements,
         f"linear-quotients / componentwise-linear / c(G)=1 agree pairwise for "
-        f"k<=3 on {len(ideals)} ideals ({len(disagreements)} disagreements)",
+        f"k<=3 on {total} ideals ({len(disagreements)} disagreements)",
     )
 
 
@@ -275,21 +273,19 @@ def test_criterion_10_symbolic_power_classification():
     )
 
 
-def test_criterion_11_v_function(edged_census):
+def test_criterion_11_v_function(witness_reports):
     mismatches = []
     bound_violations = []
-    for n in (3, 4, 5):
-        for g in edged_census[n]:
-            I = complementary_edge_ideal(g)
-            for k in (1, 2):
-                got = v_oracle(power(I, k)).v
-                want = v_closed_form(g, k)
-                if got != want:
-                    mismatches.append((to_graph6(g), k, got, want))
-                if got < (n - 2) * k - 1:
-                    bound_violations.append((to_graph6(g), k))
+    for r in witness_reports:
+        for k in (1, 2):
+            got, want = r.per_k[k]["v_oracle"], r.per_k[k]["v_formula"]
+            if got != want:
+                mismatches.append((to_graph6(r.graph), k, got, want))
+            if got < (r.graph.n - 2) * k - 1:
+                bound_violations.append((to_graph6(r.graph), k))
     # the exceptional matching branch must actually be exercised
-    matching_hit = v_oracle(complementary_edge_ideal(matching_graph(2))).v == 2
+    matching = run_graph_checks(matching_graph(2), SweepConfig(k_max=1, checks=("v",)))
+    matching_hit = matching.per_k[1]["v_oracle"] == 2
     ok = not mismatches and not bound_violations and matching_hit
     _verdict(
         11,
@@ -318,13 +314,7 @@ def test_criterion_12_oracle_self_consistency_fuzz():
             continue
         checked += 1
         direct = ass_oracle(I)
-        via_localization = set()
-        for size in range(1, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                J = localize(I, combo)
-                if J.is_proper and depth_zero_oracle(J)[0]:
-                    via_localization.add(frozenset(combo))
-        if direct != via_localization:
+        if direct != set(stable_ass_localization(I, 1)):
             discrepancies.append((str(I), "localization-route"))
         if I.is_squarefree and direct != minimal_primes_squarefree(I):
             discrepancies.append((str(I), "minimal-primes"))

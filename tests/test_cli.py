@@ -108,6 +108,12 @@ class TestSweep:
         assert args.lq_limit == SweepConfig().lq_limit == DEFAULT_QUOTIENTS_LIMIT
         assert args.divisor_limit == SweepConfig().divisor_limit == DEFAULT_DIVISOR_LIMIT
 
+    def test_census_beyond_limit_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--nmax", "7", "--checks", "ass")
+        assert code == 2
+        assert "census limited to n <= 6" in err
+        assert out == ""
+
     def test_unknown_check_is_parse_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--nmax", "3", "--checks", "bogus")
         assert code == 2

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import compedge.resolution
 from compedge.graphs import (
     Graph,
     complete_graph,
@@ -25,7 +26,6 @@ from compedge.ideals import (
 from compedge.monomials import Monomial, parse_monomial, x_of_set
 from compedge.resolution import (
     BOX_CELL_LIMIT,
-    DEFAULT_LATTICE_LIMIT,
     _boundary_rank,
     _lcm_lattice,
     betti_table,
@@ -97,7 +97,7 @@ def betti_entries_reference(I, p):
     distinct-complex kernel: build each point's face set, rank it, and
     write its entries into a dict."""
     counts = divisor_counts(I, I.lcm_of_generators(), BOX_CELL_LIMIT)
-    points = _lcm_lattice(counts, DEFAULT_LATTICE_LIMIT)
+    points = _lcm_lattice(counts)
     member = (counts > 0).reshape(-1)
     strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
     entries = {}
@@ -313,6 +313,14 @@ class TestBettiTable:
         with pytest.raises(LimitExceededError, match="10000000 cells"):
             betti_table(I)
 
+    def test_over_limit_lattice_raises(self, monkeypatch):
+        # the three generators have 7 joins; an ideal no other test builds,
+        # so no cached lattice can bypass the limit
+        monkeypatch.setattr(compedge.resolution, "DEFAULT_LATTICE_LIMIT", 6)
+        I = ideal([Monomial((7, 1, 0)), Monomial((0, 7, 1)), Monomial((1, 0, 7))], 3)
+        with pytest.raises(LimitExceededError, match="lcm lattice has 7 points, limit 6"):
+            betti_table(I)
+
     def test_lattice_agrees_with_reference(self, edged_census, random_ideals):
         ideals = random_ideals(random.Random(7), 1000)
         ideals += [
@@ -323,7 +331,7 @@ class TestBettiTable:
         ]
         for I in ideals:
             counts = divisor_counts(I, I.lcm_of_generators())
-            got = {tuple(a) for a in _lcm_lattice(counts, DEFAULT_LATTICE_LIMIT).tolist()}
+            got = {tuple(a) for a in _lcm_lattice(counts).tolist()}
             assert got == lcm_lattice_reference(I), str(I)
 
     def test_kernel_agrees_with_reference(self, edged_census, mixed_family, random_ideals):

@@ -584,8 +584,6 @@ class TestOracleCrossValidation:
                 assert socle_hit == (reg_pd_depth(Ik).depth == 0)
 
     def test_ass_equals_localization_route_on_random_ideals(self):
-        import itertools
-
         rng = random.Random(31)
         checked = 0
         while checked < 120:
@@ -598,10 +596,4 @@ class TestOracleCrossValidation:
             if not I.is_proper:
                 continue
             checked += 1
-            via_socle = set()
-            for size in range(1, n + 1):
-                for combo in itertools.combinations(range(n), size):
-                    J = localize(I, combo)
-                    if J.is_proper and depth_zero_oracle(J)[0]:
-                        via_socle.add(frozenset(combo))
-            assert ass_oracle(I) == via_socle
+            assert ass_oracle(I) == set(stable_ass_localization(I, 1))
