@@ -10,6 +10,7 @@ brute-force oracles.
 from .graphs import (
     ComponentSummary,
     Graph,
+    canonical_form,
     complement,
     complete_graph,
     component_summary,

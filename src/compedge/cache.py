@@ -19,9 +19,9 @@ from pathlib import Path
 from .ideals import MonomialIdeal
 
 ENV_CACHE_DIR = "COMPEDGE_CACHE_DIR"
-# Bump whenever an oracle's kernel changes, so that entries written by an
-# earlier kernel are never served.
-ORACLE_VERSION = 3
+# Bump whenever an oracle's kernel or the form of a stored result changes,
+# so that entries written by an earlier oracle are never served.
+ORACLE_VERSION = 4
 
 
 def cache_key(I: MonomialIdeal, operation: str, params: dict) -> str:

@@ -184,7 +184,7 @@ def cmd_analyze(args) -> int:
         _emit(_render_analyze_markdown(rpt, g), args.out)
     if rpt.failed_checks:
         return EXIT_MISMATCH
-    if any("budget" in reason for reason in rpt.skipped.values()):
+    if any(reason.startswith(("budget", "limit:")) for reason in rpt.skipped.values()):
         return EXIT_BUDGET
     return EXIT_OK
 

@@ -15,11 +15,11 @@ import numpy as np
 
 from .graphs import (
     Graph,
+    canonical_form,
     complete_graph,
     component_summary,
     cycle_graph,
     induced_subgraph,
-    is_isomorphic,
     matching_graph,
     path_graph,
 )
@@ -200,12 +200,15 @@ def v_closed_form(g: Graph, k: int) -> int:
 
 
 _SYMBOLIC_CLASS: list[Graph] = [
-    matching_graph(1),  # K_2
-    complete_graph(3),
-    path_graph(3),
-    matching_graph(2),
-    path_graph(4),
-    cycle_graph(4),
+    canonical_form(h)[0]
+    for h in (
+        matching_graph(1),  # K_2
+        complete_graph(3),
+        path_graph(3),
+        matching_graph(2),
+        path_graph(4),
+        cycle_graph(4),
+    )
 ]
 
 
@@ -215,9 +218,7 @@ def symbolic_equals_ordinary_class(g: Graph) -> bool:
     _require_formula_hypotheses(g)
     non_iso = sorted(set(range(g.n)) - g.isolated_vertices)
     core, _ = induced_subgraph(g, non_iso)
-    return any(
-        core.n == h.n and is_isomorphic(core, h) for h in _SYMBOLIC_CLASS
-    )
+    return canonical_form(core)[0] in _SYMBOLIC_CLASS
 
 
 def linear_powers_predicate(cls: CaseClassification) -> bool:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 DEFAULT_CENSUS_LIMIT = 6
 DEFAULT_ISO_LIMIT = 8
@@ -218,45 +221,42 @@ def triangles(g: Graph) -> set[frozenset[int]]:
 # isomorphism and enumeration
 
 
+@lru_cache(maxsize=None)
+def _relabel_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every permutation of range(n), one per row; per row and pair index,
+    the edge bit that pair is sent to; and the pair index of each (i, j)."""
+    pairs = np.array(_pair_order(n), dtype=np.int64).reshape(-1, 2)
+    index = np.zeros((n, n), dtype=np.int64)
+    index[pairs[:, 0], pairs[:, 1]] = index[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    bits = np.int64(1) << index[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]
+    return perms, bits, index
+
+
+def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """The relabeling of g with the least edge bitmask, and the permutation
+    that gives it: vertex i of g becomes vertex perm[i].
+
+    The bitmask is the census one (bit k for the k-th pair of the graph6
+    order), minimized over all n! relabelings at once.  Isomorphic graphs
+    get the same canonical graph.  Above ``DEFAULT_ISO_LIMIT`` vertices g
+    is returned as it is, with the identity.
+    """
+    if g.n > DEFAULT_ISO_LIMIT:
+        return g, tuple(range(g.n))
+    perms, bits, index = _relabel_table(g.n)
+    present = [index[i, j] for i, j in g.edges]
+    perm = tuple(perms[np.argmin(bits[:, present].sum(axis=1))].tolist())
+    return Graph.from_edges(g.n, ((perm[i], perm[j]) for i, j in g.edges)), perm
+
+
 def is_isomorphic(g: Graph, h: Graph, limit: int = DEFAULT_ISO_LIMIT) -> bool:
-    """Exhaustive isomorphism test with degree pruning; meant for small n."""
+    """Equal canonical forms; ``limit`` (at most ``DEFAULT_ISO_LIMIT``)
+    bounds the vertex count."""
+    limit = min(limit, DEFAULT_ISO_LIMIT)
     if g.n > limit or h.n > limit:
-        raise ValueError(f"isomorphism brute force limited to n <= {limit}")
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    gdeg = [g.degree(v) for v in range(g.n)]
-    hdeg = [h.degree(v) for v in range(h.n)]
-    hedges = h.edges
-
-    # map g-vertices one at a time, most constrained (highest degree) first
-    order = sorted(range(g.n), key=lambda v: -gdeg[v])
-
-    def extend(pos: int, mapping: dict[int, int], used: set[int]) -> bool:
-        if pos == g.n:
-            return True
-        v = order[pos]
-        for w in range(h.n):
-            if w in used or hdeg[w] != gdeg[v]:
-                continue
-            ok = True
-            for u in mapping:
-                if (_normalize_edge(u, v) in g.edges) != (
-                    _normalize_edge(mapping[u], w) in hedges
-                ):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(pos + 1, mapping, used):
-                    return True
-                del mapping[v]
-                used.remove(w)
-        return False
-
-    return extend(0, {}, set())
+        raise ValueError(f"isomorphism test limited to n <= {limit}")
+    return g.n == h.n and canonical_form(g)[0] == canonical_form(h)[0]
 
 
 def _pair_order(n: int) -> list[tuple[int, int]]:

@@ -8,7 +8,16 @@ witness is the case F = all variables.  Restricting witnesses to divisors
 of lcm(G(I)) loses nothing: if (I : u) = P then (I : gcd(u, lcm)) = P,
 since exponents of u above the lcm never affect divisibility by a
 generator.  The fuzz suite cross-validates this against the independent
-localization/socle route.  The sweep scans each power once per graph.
+localization/socle route.
+
+The sweep runs every oracle once per isomorphism class in a process: on
+the powers of I_c of the canonical form (:func:`compedge.graphs.canonical_form`),
+keyed by that graph, the operation, k and its parameters, in memory and in
+the optional disk cache.  Every oracle is equivariant under relabeling
+vertices, so a labeled graph reads the class's result back through the
+inverse relabeling: Ass sets are relabeled, while v, reg, depth and the
+booleans pass unchanged.  The closed forms are still evaluated on every
+labeled graph.
 
 Strong persistence, I^(k+1) : I = I^k, and the symbolic-power identity
 I^(k) = I^k are decided on the same table, as membership over one box,
@@ -32,7 +41,7 @@ import numpy as np
 
 from . import formulas
 from .cache import DiskCache, cache_key
-from .graphs import Graph, enumerate_labeled_graphs, to_graph6
+from .graphs import Graph, canonical_form, enumerate_labeled_graphs, to_graph6
 from .ideals import (
     BigDegreeCase,
     LimitExceededError,
@@ -44,6 +53,7 @@ from .ideals import (
     minimal_primes_squarefree,
     minimal_supports,
     multiply,
+    power,
 )
 from .monomials import Monomial
 from .resolution import (
@@ -404,11 +414,30 @@ class _BudgetExceeded(Exception):
     pass
 
 
+# Oracle results per (canonical graph, operation, k, params), shared by every
+# labeled graph of an isomorphism class within one process.  The values are
+# immutable, so every caller can share them.  Past this many entries the
+# oldest are dropped.
+_CLASS_MEMO_SIZE = 1 << 15
+_class_memo: dict[tuple, object] = {}
+
+
+def _same_betti_tables(I: MonomialIdeal, primes: tuple[int, ...]) -> bool:
+    tables = [betti_table(I, p) for p in primes]
+    rows = [(t.i, t.multidegrees, t.rank) for t in tables]
+    return all(all(map(np.array_equal, r, rows[0])) for r in rows[1:])
+
+
 class _GraphState:
     """Lazily computed shared state for one sweep graph.
 
-    Each power I^k is scanned for prime colon witnesses once; the Ass, v,
-    persistence and entry-bound checks all read that one result.
+    The closed forms read the labeled graph.  Every oracle runs on the
+    powers of I_c of its canonical form, once per isomorphism class in a
+    process (``_class_memo``), and the labeled graph reads the result back
+    through the inverse relabeling: Ass sets are relabeled, numbers and
+    booleans pass unchanged.  Each power is scanned for prime colon
+    witnesses once; the Ass, v, persistence and entry-bound checks all read
+    that one result.
     """
 
     def __init__(self, g: Graph, cfg: SweepConfig, cache: DiskCache | None):
@@ -416,13 +445,18 @@ class _GraphState:
         self.cfg = cfg
         self.cache = cache
         self.ideal = complementary_edge_ideal(g)
-        self._powers: list[MonomialIdeal] = [self.ideal]
+        self.canon, perm = canonical_form(g)
+        # inverse[perm[i]] == i: canonical vertex j is labeled vertex inverse[j]
+        self.inverse = tuple(sorted(range(g.n), key=perm.__getitem__))
+        self._powers: list[MonomialIdeal] = []
         self._cls = None
-        self._memos: dict[str, dict[int, object]] = {}
 
     def power(self, k: int) -> MonomialIdeal:
+        """The k-th power of I_c of the canonical form."""
+        if not self._powers:
+            self._powers.append(complementary_edge_ideal(self.canon))
         while len(self._powers) < k:
-            self._powers.append(multiply(self._powers[-1], self.ideal))
+            self._powers.append(multiply(self._powers[-1], self._powers[0]))
         return self._powers[k - 1]
 
     @property
@@ -431,42 +465,42 @@ class _GraphState:
             self._cls = classify_big_degree(self.ideal)
         return self._cls
 
-    def _memo(self, operation: str, k: int, params: dict, compute, dump, load):
-        """compute(I^k), kept per graph and, with a cache, on disk as dump()."""
-        memo = self._memos.setdefault(operation, {})
-        if k not in memo:
-            key = None if self.cache is None else cache_key(self.power(k), operation, params)
-            hit = None if key is None else self.cache.get(key)
-            if hit is not None:
-                memo[k] = load(hit)
-            else:
-                memo[k] = compute(self.power(k))
-                if key is not None:
-                    self.cache.put(key, dump(memo[k]))
-        return memo[k]
+    def _memo(self, operation: str, k: int, params: dict, compute, dump=None, load=None):
+        """compute(I^k) on the canonical ideal, kept per class and, with a
+        cache, on disk as dump(); JSON-ready values need no dump or load."""
+        key = (self.canon, operation, k, tuple(sorted(params.items())))
+        if key in _class_memo:
+            return _class_memo[key]
+        Ik = self.power(k)
+        disk = None if self.cache is None else cache_key(Ik, operation, params)
+        hit = None if disk is None else self.cache.get(disk)
+        if hit is not None:
+            value = load(hit) if load else hit
+        else:
+            value = compute(Ik)
+            if disk is not None:
+                self.cache.put(disk, dump(value) if dump else value)
+        if len(_class_memo) >= _CLASS_MEMO_SIZE:
+            del _class_memo[next(iter(_class_memo))]
+        _class_memo[key] = value
+        return value
 
-    def witnesses(self, k: int) -> tuple[set[frozenset[int]], VWitness]:
-        """Ass(I^k) and the least v-witness of I^k, from one scan."""
+    def witnesses(self, k: int) -> tuple[set[frozenset[int]], int]:
+        """Ass(I^k) and v(I^k), from one scan."""
 
         def compute(Ik):
             found = _prime_colon_witnesses(Ik, self.cfg.divisor_limit)
-            return found.primes(), found.least()
+            return frozenset(found.primes()), found.least().v
 
-        def dump(value):
-            ass, v = value
-            return {
-                "ass": [sorted(f) for f in ass],
-                "witness": list(v.witness.exponents),
-                "prime": sorted(v.prime),
-            }
-
-        def load(data):
-            u = Monomial(tuple(data["witness"]))
-            v = VWitness(u.degree, u, frozenset(data["prime"]))
-            return {frozenset(f) for f in data["ass"]}, v
-
-        params = {"divisor_limit": self.cfg.divisor_limit}
-        return self._memo("prime_colon_witnesses", k, params, compute, dump, load)
+        ass, v = self._memo(
+            "prime_colon_witnesses",
+            k,
+            {"divisor_limit": self.cfg.divisor_limit},
+            compute,
+            lambda value: {"ass": [sorted(f) for f in value[0]], "v": value[1]},
+            lambda data: (frozenset(frozenset(f) for f in data["ass"]), data["v"]),
+        )
+        return {frozenset(self.inverse[j] for j in F) for F in ass}, v
 
     def asses(self) -> list[set[frozenset[int]]]:
         return [self.witnesses(k)[0] for k in range(1, self.cfg.k_max + 1)]
@@ -481,6 +515,50 @@ class _GraphState:
             asdict,
             lambda data: HomologicalInvariants(**data),
         )
+
+    def linear(self, k: int) -> tuple[bool, bool]:
+        """Whether I^k has linear quotients, and whether it is
+        componentwise linear."""
+        p, limit = self.cfg.primes[0], self.cfg.lq_limit
+        return self._memo(
+            "linear",
+            k,
+            {"p": p, "lq_limit": limit},
+            lambda Ik: (has_linear_quotients(Ik, limit)[0], is_componentwise_linear(Ik, p)),
+            list,
+            tuple,
+        )
+
+    def same_betti_tables(self, k: int) -> bool:
+        primes = self.cfg.primes
+        return self._memo(
+            "betti-field-independence",
+            k,
+            {"primes": primes},
+            lambda Ik: _same_betti_tables(Ik, primes),
+        )
+
+    def symbolic(self) -> bool:
+        """I^(2) = I^2."""
+        limit = self.cfg.divisor_limit
+        return self._memo(
+            "symbolic",
+            2,
+            {"divisor_limit": limit},
+            lambda I2: _symbolic_equals_ordinary(self.power(1), I2, 2, limit),
+        )
+
+    def strong_persistence(self) -> tuple[bool, int | None]:
+        """Whether I^(k+1) : I = I^k for every k <= k_max, and the first k
+        where it fails."""
+        k_max, limit = self.cfg.k_max, self.cfg.divisor_limit
+
+        def compute(_):
+            powers = (self.power(k) for k in range(1, k_max + 2))
+            res = _strong_persistence(self.power(1), powers, limit)
+            return res.holds, res.first_failure
+
+        return self._memo("strong-persistence", k_max, {"divisor_limit": limit}, compute, list, tuple)
 
 
 def _check_ass(st: _GraphState, rpt: VerificationReport) -> bool:
@@ -612,19 +690,19 @@ def _check_v(st: _GraphState, rpt: VerificationReport) -> bool:
     g = st.g
     ok = True
     for k in range(1, st.cfg.k_max + 1):
-        wit = st.witnesses(k)[1]
+        v = st.witnesses(k)[1]
         predicted = formulas.v_closed_form(g, k)
         entry = rpt.per_k.setdefault(k, {})
-        entry["v_oracle"] = wit.v
+        entry["v_oracle"] = v
         entry["v_formula"] = predicted
         lower = (g.n - 2) * k - 1
-        ok = ok and wit.v == predicted and wit.v >= lower
+        ok = ok and v == predicted and v >= lower
     return ok
 
 
 def _check_symbolic(st: _GraphState, rpt: VerificationReport) -> bool:
     predicted = formulas.symbolic_equals_ordinary_class(st.g)
-    actual = _symbolic_equals_ordinary(st.ideal, st.power(2), 2, st.cfg.divisor_limit)
+    actual = st.symbolic()
     rpt.details["symbolic"] = {
         "class_predicate": predicted,
         "second_power_symbolic_equals_ordinary": actual,
@@ -634,13 +712,10 @@ def _check_symbolic(st: _GraphState, rpt: VerificationReport) -> bool:
 
 def _check_linear(st: _GraphState, rpt: VerificationReport) -> bool:
     predicted = formulas.linear_powers_predicate(st.cls)
-    p = st.cfg.primes[0]
     per_k = {}
     ok = True
     for k in range(1, min(st.cfg.k_max, 3) + 1):
-        Ik = st.power(k)
-        lq, _ = has_linear_quotients(Ik, st.cfg.lq_limit)
-        cl = is_componentwise_linear(Ik, p)
+        lq, cl = st.linear(k)
         per_k[k] = {"linear_quotients": lq, "componentwise_linear": cl}
         ok = ok and lq == predicted and cl == predicted
     rpt.details["linear"] = {"predicted": predicted, "per_k": per_k}
@@ -655,24 +730,21 @@ def _check_betti_field_independence(
         return None
     ok = True
     for k in range(1, min(st.cfg.k_max, 2) + 1):
-        Ik = st.power(k)
-        tables = [betti_table(Ik, p) for p in st.cfg.primes]
-        rows = [(t.i, t.multidegrees, t.rank) for t in tables]
-        same = all(all(map(np.array_equal, r, rows[0])) for r in rows[1:])
+        same = st.same_betti_tables(k)
         ok = ok and same
         if not same:
+            Ik = power(st.ideal, k)
             rpt.details.setdefault("betti-field-independence", {})[str(k)] = {
-                str(p): t.to_json_dict() for p, t in zip(st.cfg.primes, tables)
+                str(p): betti_table(Ik, p).to_json_dict() for p in st.cfg.primes
             }
     return ok
 
 
 def _check_strong_persistence(st: _GraphState, rpt: VerificationReport) -> None:
-    powers = (st.power(k) for k in range(1, st.cfg.k_max + 2))
-    res = _strong_persistence(st.ideal, powers, st.cfg.divisor_limit)
+    holds, first_failure = st.strong_persistence()
     rpt.details["strong-persistence"] = {
-        "observed_holds": res.holds,
-        "first_failure_k": res.first_failure,
+        "observed_holds": holds,
+        "first_failure_k": first_failure,
     }
     rpt.skipped["strong-persistence"] = "informational: open question, not asserted"
     return None

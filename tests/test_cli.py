@@ -65,6 +65,16 @@ class TestAnalyze:
         )
         assert code == 3
 
+    def test_limit_skips_exit_code(self, capsys):
+        # every box-scanning check skips on the divisor limit; the skip
+        # reasons of depth-stable and strong-persistence do not count
+        code, out, _ = run(
+            capsys, "analyze", "--edges", C4_EDGES, "--kmax", "2", "--divisor-limit", "1"
+        )
+        assert code == 3
+        assert "ass: SKIPPED (limit: divisor box has 16 cells, limit 1)" in out
+        assert "FAIL" not in out
+
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("4 4\n1 2\n2 3\n3 4\n4 1\n")

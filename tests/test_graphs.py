@@ -4,7 +4,9 @@ import random
 import pytest
 
 from compedge.graphs import (
+    DEFAULT_ISO_LIMIT,
     Graph,
+    canonical_form,
     complement,
     complete_graph,
     component_summary,
@@ -22,6 +24,48 @@ from compedge.graphs import (
     triangles,
     with_isolated,
 )
+
+
+def is_isomorphic_reference(g: Graph, h: Graph) -> bool:
+    """Exhaustive isomorphism test with degree pruning, the search that the
+    canonical form replaced in the library."""
+    if g.n != h.n or len(g.edges) != len(h.edges):
+        return False
+    if g.degree_sequence() != h.degree_sequence():
+        return False
+    gdeg = [g.degree(v) for v in range(g.n)]
+    hdeg = [h.degree(v) for v in range(h.n)]
+
+    # map g-vertices one at a time, most constrained (highest degree) first
+    order = sorted(range(g.n), key=lambda v: -gdeg[v])
+
+    def extend(pos: int, mapping: dict[int, int], used: set[int]) -> bool:
+        if pos == g.n:
+            return True
+        v = order[pos]
+        for w in range(h.n):
+            if w in used or hdeg[w] != gdeg[v]:
+                continue
+            if all(g.has_edge(u, v) == h.has_edge(mapping[u], w) for u in mapping):
+                mapping[v] = w
+                used.add(w)
+                if extend(pos + 1, mapping, used):
+                    return True
+                del mapping[v]
+                used.remove(w)
+        return False
+
+    return extend(0, {}, set())
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Vertex i of g becomes vertex perm[i]."""
+    return Graph.from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges])
+
+
+def random_graph(rng: random.Random, n: int) -> Graph:
+    pairs = itertools.combinations(range(n), 2)
+    return Graph.from_edges(n, [p for p in pairs if rng.random() < 0.5])
 
 
 def paw():
@@ -144,7 +188,61 @@ class TestIsomorphism:
         for g in sample:
             assert is_isomorphic(g, g)
         for g, h in itertools.combinations(sample, 2):
-            assert is_isomorphic(g, h) == is_isomorphic(h, g)
+            assert is_isomorphic(g, h) == is_isomorphic(h, g) == is_isomorphic_reference(g, h)
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)])
+    def test_class_counts(self, n, count):
+        # OEIS A000088, the empty graph included
+        forms = {canonical_form(g)[0] for g in enumerate_labeled_graphs(n)}
+        assert len(forms) == count
+
+    def test_partition_matches_reference_search(self):
+        for n in range(1, 6):
+            by_form, by_reference = {}, []
+            for g in enumerate_labeled_graphs(n):
+                by_form.setdefault(canonical_form(g)[0], set()).add(g)
+                for rep, members in by_reference:
+                    if is_isomorphic_reference(rep, g):
+                        members.add(g)
+                        break
+                else:
+                    by_reference.append((g, {g}))
+            assert {frozenset(m) for m in by_form.values()} == {
+                frozenset(m) for _, m in by_reference
+            }
+
+    def test_invariant_under_relabeling(self):
+        rng = random.Random(20261018)
+        for n in range(1, DEFAULT_ISO_LIMIT + 1):
+            for _ in range(6):
+                g = random_graph(rng, n)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert canonical_form(relabel(g, perm))[0] == canonical_form(g)[0]
+
+    def test_returned_permutation_gives_the_form(self):
+        rng = random.Random(7)
+        graphs = [random_graph(rng, n) for n in range(1, DEFAULT_ISO_LIMIT + 1) for _ in range(4)]
+        graphs += [cycle_graph(4), paw(), complete_graph(5), Graph(3, frozenset())]
+        for g in graphs:
+            form, perm = canonical_form(g)
+            assert sorted(perm) == list(range(g.n))
+            assert relabel(g, perm) == form
+
+    def test_form_has_the_least_census_mask(self):
+        # the census enumerates bitmasks ascending, so a class's first member
+        # is its canonical form
+        seen = set()
+        for g in enumerate_labeled_graphs(4):
+            form = canonical_form(g)[0]
+            assert (form == g) == (form not in seen)
+            seen.add(form)
+
+    def test_beyond_the_limit_is_the_identity(self):
+        g = relabel(path_graph(DEFAULT_ISO_LIMIT + 1), [3, 0, 8, 1, 7, 2, 6, 4, 5])
+        assert canonical_form(g) == (g, tuple(range(g.n)))
 
 
 class TestCensus:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -13,8 +14,10 @@ from compedge.cache import DiskCache, cache_key
 from compedge.formulas import ass_infinity
 from compedge.graphs import (
     Graph,
+    canonical_form,
     complete_graph,
     cycle_graph,
+    enumerate_labeled_graphs,
     matching_graph,
     path_graph,
 )
@@ -35,12 +38,21 @@ from compedge.ideals import (
     unit_ideal,
 )
 from compedge.monomials import Monomial, parse_monomial, variable, x_of_set
+from compedge.resolution import (
+    betti_table,
+    has_linear_quotients,
+    is_componentwise_linear,
+    reg_pd_depth,
+)
 from compedge.verify import (
     DEFAULT_DIVISOR_LIMIT,
     SweepConfig,
     _colon_exceeds_power,
+    _GraphState,
     _localization_supports,
     _prime_colon_witnesses,
+    _same_betti_tables,
+    _strong_persistence,
     _symbolic_equals_ordinary,
     ass_oracle,
     depth_zero_oracle,
@@ -55,6 +67,12 @@ from compedge.verify import (
     v_oracle,
     write_reports_jsonl,
 )
+
+
+def new_process():
+    """Empty the per-process class memo, so that the next call runs as in a
+    fresh interpreter, the only place where a disk cache is read."""
+    compedge.verify._class_memo.clear()
 
 
 def I_(text, ambient):
@@ -382,34 +400,43 @@ class TestCache:
     def test_entry_of_an_earlier_oracle_version_is_not_served(self, tmp_path, monkeypatch):
         g = cycle_graph(4)
         cfg = SweepConfig(k_max=2, checks=("ass", "v"), cache_dir=str(tmp_path))
+        new_process()
         plain = run_graph_checks(g, SweepConfig(k_max=2, checks=("ass", "v")))
         current = compedge.cache.ORACLE_VERSION
 
         # entries written by the earlier version, then made wrong on purpose
         monkeypatch.setattr(compedge.cache, "ORACLE_VERSION", current - 1)
+        new_process()
         run_graph_checks(g, cfg)
         entries = list(tmp_path.glob("*/*.json"))
         assert len(entries) == 2
-        stale = {"ass": [[0]], "witness": [0, 0, 0, 0], "prime": [0]}
+        stale = {"ass": [[0]], "v": 0}
         for path in entries:
             path.write_text(json.dumps(stale))
+        new_process()
         served = run_graph_checks(g, cfg)
         assert served.per_k[1]["ass_oracle"] == [[1]]  # the version still sees them
 
         monkeypatch.setattr(compedge.cache, "ORACLE_VERSION", current)
+        new_process()
         fresh = run_graph_checks(g, cfg)
         assert fresh.per_k == plain.per_k and fresh.summary == plain.summary
         assert len(list(tmp_path.glob("*/*.json"))) == 4
 
     def test_sweep_with_cache_matches(self, tmp_path):
-        cfg = SweepConfig(k_max=2, checks=("ass", "reg"), cache_dir=str(tmp_path))
-        plain = SweepConfig(k_max=2, checks=("ass", "reg"))
+        # every oracle of the sweep writes to and reads from the disk cache
+        cfg = SweepConfig(k_max=2, cache_dir=str(tmp_path))
+        plain = SweepConfig(k_max=2)
         g = cycle_graph(4)
+        new_process()
         first = run_graph_checks(g, cfg)
+        new_process()
         second = run_graph_checks(g, cfg)  # now served from cache
+        new_process()
         base = run_graph_checks(g, plain)
         assert first.summary == second.summary == base.summary
         assert first.per_k == second.per_k == base.per_k
+        assert first.details == second.details == base.details
         assert any(tmp_path.iterdir())
 
 
@@ -424,11 +451,17 @@ class TestSweep:
 
         monkeypatch.setattr(compedge.verify, "_prime_colon_witnesses", counting)
         cfg = SweepConfig(k_max=3, checks=("ass", "persistence", "v"))
+        new_process()
         for g in (cycle_graph(4), paw(), matching_graph(2)):
             scanned.clear()
             rpt = run_graph_checks(g, cfg)
             assert set(rpt.summary.values()) == {True}
-            I = complementary_edge_ideal(g)
+            I = complementary_edge_ideal(canonical_form(g)[0])
+            assert scanned == Counter(power(I, k) for k in (1, 2, 3))
+            # every relabeled copy reads the class's scans back
+            for perm in itertools.permutations(range(g.n)):
+                copy = Graph.from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges])
+                assert set(run_graph_checks(copy, cfg).summary.values()) == {True}
             assert scanned == Counter(power(I, k) for k in (1, 2, 3))
 
     def test_default_lq_limit_covers_the_n4_cubes(self):
@@ -573,8 +606,6 @@ class TestOracleCrossValidation:
     def test_socle_route_matches_homology_depth(self, edged_census):
         # two independent depth-zero detectors: socle witness search vs
         # Auslander-Buchsbaum depth from the Betti table
-        from compedge.resolution import reg_pd_depth
-
         rng = random.Random(37)
         for g in edged_census[4] + rng.sample(edged_census[5], 20):
             I = complementary_edge_ideal(g)
@@ -597,3 +628,98 @@ class TestOracleCrossValidation:
                 continue
             checked += 1
             assert ass_oracle(I) == set(stable_ass_localization(I, 1))
+
+
+def outcome(fn, *args):
+    """What an oracle gives: its value, or the limit it hit."""
+    try:
+        return fn(*args)
+    except LimitExceededError:
+        return "limit"
+
+
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges])
+
+
+class TestClassMemo:
+    """Each result a labeled graph reads back from its isomorphism class
+    against the same oracle run directly on the graph's own ideal, under
+    the default limits and then under tight ones that make some oracles
+    raise."""
+
+    def direct(self, I, k, cfg):
+        Ik = power(I, k)
+        p = cfg.primes[0]
+
+        def witnesses():
+            found = _prime_colon_witnesses(Ik, cfg.divisor_limit)
+            return found.primes(), found.least().v
+
+        def strong_persistence():
+            powers = (power(I, j) for j in range(1, cfg.k_max + 2))
+            res = _strong_persistence(I, powers, cfg.divisor_limit)
+            return res.holds, res.first_failure
+
+        return {
+            "witnesses": outcome(witnesses),
+            "reg_pd_depth": outcome(reg_pd_depth, Ik, p),
+            "linear": outcome(
+                lambda: (has_linear_quotients(Ik, cfg.lq_limit)[0], is_componentwise_linear(Ik, p))
+            ),
+            "betti-field-independence": outcome(_same_betti_tables, Ik, cfg.primes),
+            "symbolic": outcome(_symbolic_equals_ordinary, I, power(I, 2), 2, cfg.divisor_limit),
+            "strong-persistence": outcome(strong_persistence),
+        }
+
+    def memoized(self, st, k):
+        return {
+            "witnesses": outcome(st.witnesses, k),
+            "reg_pd_depth": outcome(st.invariants, k),
+            "linear": outcome(st.linear, k),
+            "betti-field-independence": outcome(st.same_betti_tables, k),
+            "symbolic": outcome(st.symbolic),
+            "strong-persistence": outcome(st.strong_persistence),
+        }
+
+    def test_memo_equals_direct_oracles(self, edged_census):
+        rng = random.Random(20261018)
+        cases = [(g, 3) for n in (3, 4) for g in edged_census[n]]
+        cases += [(relabeled(g, rng), 2) for g in rng.sample(edged_census[5], 16)]
+        n6 = [g for g in enumerate_labeled_graphs(6) if g.edges]
+        cases += [(relabeled(g, rng), 2) for g in rng.sample(n6, 6)]
+        cases += [(relabeled(g, rng), 2) for g in (complete_graph(7), cycle_graph(7), path_graph(7))]
+        mismatches, limits = [], Counter()
+        for g, k_max in cases:
+            I = complementary_edge_ideal(g)
+            for cfg in (
+                SweepConfig(k_max=k_max),
+                SweepConfig(k_max=k_max, primes=(3, 2), divisor_limit=30, lq_limit=4),
+            ):
+                st = _GraphState(g, cfg, None)
+                for k in range(1, k_max + 1):
+                    want = self.direct(I, k, cfg)
+                    got = self.memoized(st, k)
+                    limits.update(op for op, value in want.items() if value == "limit")
+                    mismatches += [(str(g), cfg.divisor_limit, op, k) for op in want if got[op] != want[op]]
+        assert mismatches == []
+        # the tight limits make each limited oracle raise somewhere
+        assert {"witnesses", "linear", "symbolic", "strong-persistence"} <= set(limits)
+
+    def test_field_dependence_is_reported_with_the_labeled_tables(self, monkeypatch):
+        # no census ideal has field-dependent Betti tables, so force the
+        # class result; the details must still be the labeled graph's
+        monkeypatch.setattr(compedge.verify, "_same_betti_tables", lambda I, primes: False)
+        new_process()
+        g = Graph.from_edges(4, [(0, 2), (2, 3), (3, 1)])  # P4, not canonical
+        assert canonical_form(g)[0] != g
+        rpt = run_graph_checks(g, SweepConfig(k_max=2, checks=("betti-field-independence",)))
+        assert rpt.summary == {"betti-field-independence": False}
+        I = complementary_edge_ideal(g)
+        assert rpt.details["betti-field-independence"] == {
+            str(k): {str(p): betti_table(power(I, k), p).to_json_dict() for p in (2, 3)}
+            for k in (1, 2)
+        }
+        new_process()
