@@ -118,12 +118,7 @@ class MonomialIdeal:
     def lcm_of_generators(self) -> Monomial:
         if self.is_zero:
             raise ValueError("zero ideal has no generators")
-        exps = [0] * self.ambient
-        for g in self.generators:
-            for i, e in enumerate(g.exponents):
-                if e > exps[i]:
-                    exps[i] = e
-        return Monomial(tuple(exps))
+        return Monomial(tuple(map(max, zip(*(g.exponents for g in self.generators)))))
 
     def exponent_matrix(self) -> np.ndarray:
         """Generators as an (m, ambient) int array, in canonical order."""

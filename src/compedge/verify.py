@@ -17,7 +17,9 @@ the optional disk cache.  Every oracle is equivariant under relabeling
 vertices, so a labeled graph reads the class's result back through the
 inverse relabeling: Ass sets are relabeled, while v, reg, depth and the
 booleans pass unchanged.  The closed forms are still evaluated on every
-labeled graph.
+labeled graph, and read its case classification from the graph itself; a
+labeled graph builds its own I_c(G) only for the localization check and
+to report field-dependent Betti tables.
 
 Strong persistence, I^(k+1) : I = I^k, and the symbolic-power identity
 I^(k) = I^k are decided on the same table, as membership over one box,
@@ -44,9 +46,9 @@ from .cache import DiskCache, cache_key
 from .graphs import Graph, canonical_form, enumerate_labeled_graphs, to_graph6
 from .ideals import (
     BigDegreeCase,
+    CaseClassification,
     LimitExceededError,
     MonomialIdeal,
-    classify_big_degree,
     complementary_edge_ideal,
     divisor_counts,
     localize,
@@ -227,27 +229,8 @@ class PersistenceResult:
     ass_by_k: tuple[frozenset[frozenset[int]], ...]
 
 
-def _ass_by_k(
-    I: MonomialIdeal, k_max: int, divisor_limit: int
-) -> list[set[frozenset[int]]]:
-    out = []
-    Ik = I
-    for k in range(1, k_max + 1):
-        if k > 1:
-            Ik = multiply(Ik, I)
-        out.append(ass_oracle(Ik, divisor_limit))
-    return out
-
-
-def persistence_check(
-    I: MonomialIdeal,
-    k_max: int,
-    divisor_limit: int = DEFAULT_DIVISOR_LIMIT,
-    ass_by_k: list[set[frozenset[int]]] | None = None,
-) -> PersistenceResult:
-    """Verify Ass(I^k) is contained in Ass(I^(k+1)) for k < k_max."""
-    _require_proper(I)
-    asses = ass_by_k if ass_by_k is not None else _ass_by_k(I, k_max, divisor_limit)
+def _persistence(asses: list[set[frozenset[int]]]) -> PersistenceResult:
+    """Persistence along ``asses``, which lists Ass(I), Ass(I^2), ..., Ass(I^k_max)."""
     for k in range(1, len(asses)):
         lost = asses[k - 1] - asses[k]
         if lost:
@@ -256,6 +239,15 @@ def persistence_check(
                 False, (k, worst), tuple(frozenset(a) for a in asses)
             )
     return PersistenceResult(True, None, tuple(frozenset(a) for a in asses))
+
+
+def persistence_check(
+    I: MonomialIdeal, k_max: int, divisor_limit: int = DEFAULT_DIVISOR_LIMIT
+) -> PersistenceResult:
+    """Verify Ass(I^k) is contained in Ass(I^(k+1)) for k < k_max."""
+    _require_proper(I)
+    powers = itertools.accumulate(itertools.repeat(I, k_max), multiply)
+    return _persistence([ass_oracle(Ik, divisor_limit) for Ik in powers])
 
 
 @dataclass(frozen=True)
@@ -362,6 +354,10 @@ class SweepConfig:
     budget_ms: float | None = None
     cache_dir: str | None = None
 
+    def __post_init__(self):
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+
 
 @dataclass
 class VerificationReport:
@@ -431,25 +427,26 @@ def _same_betti_tables(I: MonomialIdeal, primes: tuple[int, ...]) -> bool:
 class _GraphState:
     """Lazily computed shared state for one sweep graph.
 
-    The closed forms read the labeled graph.  Every oracle runs on the
-    powers of I_c of its canonical form, once per isomorphism class in a
-    process (``_class_memo``), and the labeled graph reads the result back
-    through the inverse relabeling: Ass sets are relabeled, numbers and
-    booleans pass unchanged.  Each power is scanned for prime colon
-    witnesses once; the Ass, v, persistence and entry-bound checks all read
-    that one result.
+    A labeled graph builds only its canonical form, the inverse relabeling
+    and its case classification, which it has by construction; the closed
+    forms read the labeled graph.  Every oracle runs on the powers of I_c of
+    the canonical form, built on the first memo miss, once per isomorphism
+    class in a process (``_class_memo``), and the labeled graph reads the
+    result back through the inverse relabeling: Ass sets are relabeled,
+    numbers and booleans pass unchanged.  Each power is scanned for prime
+    colon witnesses once; the Ass, v, persistence and entry-bound checks all
+    read that one result.
     """
 
     def __init__(self, g: Graph, cfg: SweepConfig, cache: DiskCache | None):
         self.g = g
         self.cfg = cfg
         self.cache = cache
-        self.ideal = complementary_edge_ideal(g)
+        self.cls = CaseClassification(BigDegreeCase.COMPLEMENTARY_EDGE, g.n, graph=g)
         self.canon, perm = canonical_form(g)
         # inverse[perm[i]] == i: canonical vertex j is labeled vertex inverse[j]
         self.inverse = tuple(sorted(range(g.n), key=perm.__getitem__))
         self._powers: list[MonomialIdeal] = []
-        self._cls = None
 
     def power(self, k: int) -> MonomialIdeal:
         """The k-th power of I_c of the canonical form."""
@@ -458,12 +455,6 @@ class _GraphState:
         while len(self._powers) < k:
             self._powers.append(multiply(self._powers[-1], self._powers[0]))
         return self._powers[k - 1]
-
-    @property
-    def cls(self):
-        if self._cls is None:
-            self._cls = classify_big_degree(self.ideal)
-        return self._cls
 
     def _memo(self, operation: str, k: int, params: dict, compute, dump=None, load=None):
         """compute(I^k) on the canonical ideal, kept per class and, with a
@@ -586,9 +577,7 @@ def _check_ass(st: _GraphState, rpt: VerificationReport) -> bool:
 
 
 def _check_persistence(st: _GraphState, rpt: VerificationReport) -> bool:
-    res = persistence_check(
-        st.ideal, st.cfg.k_max, st.cfg.divisor_limit, ass_by_k=st.asses()
-    )
+    res = _persistence(st.asses())
     if not res.holds:
         k, prime = res.first_violation
         rpt.details["persistence"] = {
@@ -636,7 +625,7 @@ def _localization_supports(I: MonomialIdeal, subsets: np.ndarray) -> np.ndarray:
 def _check_localization(st: _GraphState, rpt: VerificationReport) -> bool:
     n = st.g.n
     subsets = np.arange(1, 1 << n)
-    oracle = _localization_supports(st.ideal, subsets)
+    oracle = _localization_supports(complementary_edge_ideal(st.g), subsets)
     formula = formulas.localization_table(st.g, subsets)
     bad = subsets[(oracle != formula).any(axis=1)]
     if bad.size:
@@ -668,9 +657,6 @@ def _check_depth_monotone(st: _GraphState, rpt: VerificationReport) -> bool:
 
 
 def _check_depth_stable(st: _GraphState, rpt: VerificationReport) -> bool | None:
-    if st.cls.case not in (BigDegreeCase.COMPLEMENTARY_EDGE, BigDegreeCase.MIXED):
-        rpt.skipped["depth-stable"] = "no stable-depth formula for this case"
-        return None
     stable_depth, dstab_bound = formulas.depth_and_dstab_closed_form(st.cls)
     if st.cfg.k_max < dstab_bound:
         rpt.skipped["depth-stable"] = (
@@ -733,7 +719,7 @@ def _check_betti_field_independence(
         same = st.same_betti_tables(k)
         ok = ok and same
         if not same:
-            Ik = power(st.ideal, k)
+            Ik = power(complementary_edge_ideal(st.g), k)
             rpt.details.setdefault("betti-field-independence", {})[str(k)] = {
                 str(p): betti_table(Ik, p).to_json_dict() for p in st.cfg.primes
             }
@@ -776,15 +762,14 @@ def normalize_checks(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(c for c in ALL_CHECKS if c in requested)
 
 
-def run_graph_checks(
-    g: Graph, cfg: SweepConfig, cache: DiskCache | None = None
-) -> VerificationReport:
+def run_graph_checks(g: Graph, cfg: SweepConfig) -> VerificationReport:
     """Run the selected checks on one graph, degrading to per-check skips
-    on limit or budget overruns rather than aborting."""
+    on limit or budget overruns rather than aborting.  The graph must meet
+    the closed forms' hypotheses, n >= 3 and at least one edge."""
+    formulas._require_formula_hypotheses(g)
     rpt = VerificationReport(graph=g)
     budget = _Budget(cfg.budget_ms)
-    if cache is None and cfg.cache_dir:
-        cache = DiskCache(cfg.cache_dir)
+    cache = DiskCache(cfg.cache_dir) if cfg.cache_dir else None
     st = _GraphState(g, cfg, cache)
     for name in normalize_checks(cfg.checks):
         t0 = time.perf_counter()

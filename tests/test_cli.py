@@ -53,6 +53,15 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--edges", "4 1;1 1")
         assert code == 2 and "error:" in err
 
+    def test_kmax_below_one_is_usage_error(self, capsys):
+        for command in (["analyze", "--edges", C4_EDGES], ["sweep", "--nmax", "3"]):
+            code, out, err = run(capsys, *command, "--kmax", "0")
+            assert code == 2 and out == "" and "k_max" in err
+
+    def test_graph_outside_the_hypotheses_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "--edges", "3 0")
+        assert code == 2 and out == "" and "at least one edge" in err
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(
             capsys, "analyze", "--edges", C4_EDGES, "--graph6", "Cl"

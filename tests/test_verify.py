@@ -50,6 +50,7 @@ from compedge.verify import (
     _colon_exceeds_power,
     _GraphState,
     _localization_supports,
+    _persistence,
     _prime_colon_witnesses,
     _same_betti_tables,
     _strong_persistence,
@@ -253,9 +254,8 @@ class TestPersistence:
 
     def test_checker_flags_synthetic_violation(self):
         # harness self-test: inject a fake Ass sequence where a prime is lost
-        I = I_("(x1, x2)", 2)
         fake = [{fs(1), fs(2)}, {fs(2)}, {fs(2)}]
-        res = persistence_check(I, 3, ass_by_k=fake)
+        res = _persistence(fake)
         assert not res.holds
         assert res.first_violation == (1, fs(1))
 
@@ -568,6 +568,21 @@ class TestSweep:
     def test_rejects_unknown_check(self):
         with pytest.raises(ValueError):
             sweep(3, SweepConfig(checks=("nope",)))
+
+    def test_rejects_two_vertex_graph(self):
+        # I_c(K_2) is the unit ideal, with no prime colon witness at all
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            run_graph_checks(Graph.from_edges(2, [(0, 1)]), SweepConfig(checks=("ass",)))
+
+    def test_rejects_edgeless_graph(self):
+        for checks in (("ass",), ("depth-stable",)):
+            with pytest.raises(ValueError, match="at least one edge"):
+                run_graph_checks(Graph(3, frozenset()), SweepConfig(checks=checks))
+
+    def test_rejects_k_max_below_one(self):
+        for k_max in (0, -1):
+            with pytest.raises(ValueError, match="k_max"):
+                SweepConfig(k_max=k_max)
 
 
 class TestWitnessKernel:
