@@ -215,14 +215,14 @@ def _read_ideal(args) -> tuple[MonomialIdeal, str]:
 
 
 def cmd_betti(args) -> int:
+    cfg = _sweep_config(args, ())
     I, label = _read_ideal(args)
     if not I.is_proper:
         raise _CliParseError("betti needs a nonzero, non-unit ideal")
-    primes = _parse_primes(args.primes)
     blocks = []
-    powers = itertools.accumulate(itertools.repeat(I, args.kmax), multiply)
+    powers = itertools.accumulate(itertools.repeat(I, cfg.k_max), multiply)
     for k, Ik in enumerate(powers, start=1):
-        for p in primes:
+        for p in cfg.primes:
             table = betti_table(Ik, p)
             inv = reg_pd_depth(Ik, p)
             blocks.append(

@@ -146,8 +146,10 @@ class ComponentSummary:
     isolated: frozenset[int]
 
 
+@lru_cache(maxsize=1 << 12)
 def component_summary(g: Graph) -> ComponentSummary:
-    """Components by graph search; bipartite means 2-colorable."""
+    """Components by graph search; bipartite means 2-colorable.  Graphs and
+    summaries are frozen, so every closed form shares one summary per graph."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for i, j in g.edges:
         adj[i].append(j)

@@ -1,15 +1,17 @@
-"""Monomial ideals with canonical minimal generating sets.
+"""Monomial ideals held as their minimal exponent matrices.
 
-Every ideal is stored as its unique minimal generating set, sorted by
-(total degree, lex on exponent vectors), so equality of ideals is equality
-of generator sequences.  The zero ideal has no generators, the unit ideal
-has the single generator 1.  All operations are pure.
+An ideal's value is its unique minimal generating set, stored as one
+read-only int64 matrix with a row per generator, sorted by (total degree,
+lex on exponent vectors); equality and hashing compare that matrix.  The
+zero ideal has no rows, the unit ideal the single zero row.  The generators
+as :class:`~compedge.monomials.Monomial` values are built only when read.
+All operations are pure.
 
 One helper, :func:`_generated_by`, builds every generating set: ``ideal``,
-products, intersections, colons, localizations, graded components and prime
-powers all hand it their candidate exponent vectors.  Products,
-intersections and colons form those candidates by broadcasting over
-:meth:`MonomialIdeal.exponent_matrix`.
+graph ideals, products, intersections, colons, localizations, graded
+components and prime powers all hand it their candidate exponent rows.
+Products, intersections and colons form those candidates by broadcasting
+over the generator matrices.
 
 The oracles that scan the divisor box of an ideal all read one table,
 :func:`divisor_counts`, the number of minimal generators dividing each box
@@ -26,46 +28,63 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from .graphs import Graph
-from .monomials import Monomial, one, x_of_set
+from .monomials import Monomial
 
 
 class LimitExceededError(RuntimeError):
     """A configured search-space or resource limit was exceeded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialIdeal:
     """A monomial ideal in ``ambient`` variables, canonically presented.
 
+    ``exponents`` is the (m, ambient) int64 matrix of the minimal
+    generators, one row each in (degree, lex) order, made read-only here.
     Construct through :func:`ideal` (or the specific builders below) so the
-    generators are minimalized and sorted; the raw constructor trusts its
-    input.
+    rows are minimalized and sorted; the raw constructor checks only the
+    matrix's width.
     """
 
     ambient: int
-    generators: tuple[Monomial, ...]
+    exponents: np.ndarray
 
     def __post_init__(self) -> None:
         if self.ambient < 1:
             raise ValueError("ambient must be positive")
-        for g in self.generators:
-            if g.ambient != self.ambient:
-                raise ValueError(
-                    f"generator {g} has ambient {g.ambient}, ideal has {self.ambient}"
-                )
+        exps = np.asarray(self.exponents, dtype=np.int64)
+        if exps.ndim != 2 or exps.shape[1] != self.ambient:
+            raise ValueError(f"exponent matrix of shape {exps.shape} needs {self.ambient} columns")
+        exps.flags.writeable = False
+        object.__setattr__(self, "exponents", exps)
+
+    def _key(self) -> tuple:
+        return self.ambient, self.exponents.shape, self.exponents.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MonomialIdeal) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @cached_property
+    def generators(self) -> tuple[Monomial, ...]:
+        """The minimal generators as monomials, in canonical order."""
+        return tuple(Monomial(tuple(row)) for row in self.exponents.tolist())
 
     @property
     def is_zero(self) -> bool:
-        return len(self.generators) == 0
+        return len(self.exponents) == 0
 
     @property
     def is_unit(self) -> bool:
-        return len(self.generators) == 1 and self.generators[0].is_one
+        return len(self.exponents) == 1 and not self.exponents.any()
 
     @property
     def is_proper(self) -> bool:
@@ -73,40 +92,37 @@ class MonomialIdeal:
 
     @property
     def support(self) -> frozenset[int]:
-        out: set[int] = set()
-        for g in self.generators:
-            out.update(g.support)
-        return frozenset(out)
+        return frozenset(np.flatnonzero(self.exponents.any(axis=0)).tolist())
 
     @property
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree for g in self.generators)
+        return bool((self.exponents <= 1).all())
 
     @property
     def indeg(self) -> int:
         """Least degree of a generator; the zero ideal has no initial degree."""
         if self.is_zero:
             raise ValueError("zero ideal has no initial degree")
-        return self.generators[0].degree
+        return int(self.exponents[0].sum())
 
     @property
     def maxdeg(self) -> int:
         if self.is_zero:
             raise ValueError("zero ideal has no generator degrees")
-        return self.generators[-1].degree
+        return int(self.exponents[-1].sum())
 
     def mu(self, j: int) -> int:
         """Number of minimal generators of total degree j."""
-        return sum(1 for g in self.generators if g.degree == j)
+        return int(np.count_nonzero(self.exponents.sum(axis=1) == j))
 
     def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({g.degree for g in self.generators}))
+        return tuple(np.unique(self.exponents.sum(axis=1)).tolist())
 
     def contains(self, u: Monomial) -> bool:
         """Membership: true iff some minimal generator divides u."""
         if u.ambient != self.ambient:
             raise ValueError(f"ambient mismatch: {u.ambient} vs {self.ambient}")
-        return any(g.divides(u) for g in self.generators)
+        return bool((self.exponents <= u.exponents).all(axis=1).any())
 
     def __contains__(self, u: Monomial) -> bool:
         return self.contains(u)
@@ -118,13 +134,7 @@ class MonomialIdeal:
     def lcm_of_generators(self) -> Monomial:
         if self.is_zero:
             raise ValueError("zero ideal has no generators")
-        return Monomial(tuple(map(max, zip(*(g.exponents for g in self.generators)))))
-
-    def exponent_matrix(self) -> np.ndarray:
-        """Generators as an (m, ambient) int array, in canonical order."""
-        if self.is_zero:
-            return np.zeros((0, self.ambient), dtype=np.int64)
-        return np.array([g.exponents for g in self.generators], dtype=np.int64)
+        return Monomial(tuple(self.exponents.max(axis=0).tolist()))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -132,10 +142,7 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
     def to_json_dict(self) -> dict:
-        return {
-            "ambient": self.ambient,
-            "generators": [list(g.exponents) for g in self.generators],
-        }
+        return {"ambient": self.ambient, "generators": self.exponents.tolist()}
 
     @staticmethod
     def from_json_dict(data: dict) -> "MonomialIdeal":
@@ -151,20 +158,33 @@ class MonomialIdeal:
 # construction
 
 
-def _generated_by(ambient: int, vectors: Iterable[tuple[int, ...]]) -> MonomialIdeal:
-    """The ideal generated by exponent vectors, canonically presented.
+def _generated_by(ambient: int, vectors) -> MonomialIdeal:
+    """The ideal generated by exponent rows, canonically presented.
 
-    Every generating set is built here: dedupe, sort by (degree, lex), drop
-    the vectors that another one divides.  Distinct vectors of one degree
-    never divide each other, so an equigenerated set needs no dominance pass.
+    Every generating set is built here: sort the rows by (degree, lex) with
+    one lexsort, drop each row equal to its predecessor, then drop the rows
+    that another one divides.  Distinct rows of one degree never divide each
+    other, so an equigenerated set needs no dominance pass.
     """
-    uniq = sorted(set(vectors), key=lambda t: (sum(t), t))
-    if uniq and sum(uniq[0]) != sum(uniq[-1]):
-        arr = np.array(uniq, dtype=np.int64)
-        divides = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
+    rows = np.asarray(vectors, dtype=np.int64).reshape(-1, ambient)
+    degrees = rows.sum(axis=1)
+    order = np.lexsort(np.vstack([rows.T[::-1], degrees]))
+    rows, degrees = rows[order], degrees[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rows = rows[fresh]
+    if len(rows) and degrees[0] != degrees[-1]:
+        divides = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
         np.fill_diagonal(divides, False)
-        uniq = [t for t, dominated in zip(uniq, divides.any(axis=0)) if not dominated]
-    return MonomialIdeal(ambient, tuple(Monomial(t) for t in uniq))
+        rows = rows[~divides.any(axis=0)]
+    return MonomialIdeal(ambient, rows)
+
+
+def _monomials_of_degree(variables: Iterable[int], d: int, ambient: int) -> np.ndarray:
+    """Exponent rows of every degree-d monomial in ``variables``."""
+    combos = itertools.combinations_with_replacement(variables, d)
+    picked = np.array(list(combos), dtype=np.int64)
+    return (picked[:, :, None] == np.arange(ambient)).sum(axis=1)
 
 
 def ideal(gens: Iterable[Monomial], ambient: int | None = None) -> MonomialIdeal:
@@ -177,15 +197,15 @@ def ideal(gens: Iterable[Monomial], ambient: int | None = None) -> MonomialIdeal
     for g in gens:
         if g.ambient != ambient:
             raise ValueError(f"ambient mismatch: {g.ambient} vs {ambient}")
-    return _generated_by(ambient, (g.exponents for g in gens))
+    return _generated_by(ambient, [g.exponents for g in gens])
 
 
 def zero_ideal(ambient: int) -> MonomialIdeal:
-    return MonomialIdeal(ambient, ())
+    return MonomialIdeal(ambient, np.zeros((0, ambient), dtype=np.int64))
 
 
 def unit_ideal(ambient: int) -> MonomialIdeal:
-    return MonomialIdeal(ambient, (one(ambient),))
+    return MonomialIdeal(ambient, np.zeros((1, ambient), dtype=np.int64))
 
 
 def parse_ideal(text: str, ambient: int) -> MonomialIdeal:
@@ -209,9 +229,7 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Product ideal, generated by the pairwise products, minimalized."""
     if I.ambient != J.ambient:
         raise ValueError("ambient mismatch")
-    A, B = I.exponent_matrix(), J.exponent_matrix()
-    prods = (A[:, None, :] + B[None, :, :]).reshape(-1, I.ambient)
-    return _generated_by(I.ambient, map(tuple, prods.tolist()))
+    return _generated_by(I.ambient, I.exponents[:, None, :] + J.exponents[None, :, :])
 
 
 def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -230,17 +248,14 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Intersection, generated by the pairwise lcms, minimalized."""
     if I.ambient != J.ambient:
         raise ValueError("ambient mismatch")
-    A, B = I.exponent_matrix(), J.exponent_matrix()
-    meets = np.maximum(A[:, None, :], B[None, :, :]).reshape(-1, I.ambient)
-    return _generated_by(I.ambient, map(tuple, meets.tolist()))
+    return _generated_by(I.ambient, np.maximum(I.exponents[:, None, :], J.exponents[None, :, :]))
 
 
 def colon(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """Colon ideal I : u, generated by g / gcd(g, u)."""
     if u.ambient != I.ambient:
         raise ValueError("ambient mismatch")
-    quots = np.maximum(I.exponent_matrix() - np.array(u.exponents), 0)
-    return _generated_by(I.ambient, map(tuple, quots.tolist()))
+    return _generated_by(I.ambient, np.maximum(I.exponents - np.array(u.exponents), 0))
 
 
 def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -266,9 +281,7 @@ def localize(I: MonomialIdeal, F: Iterable[int]) -> MonomialIdeal:
         raise ValueError("localization needs a nonempty variable subset")
     if fs[0] < 0 or fs[-1] >= I.ambient:
         raise ValueError(f"variables {fs} out of range for ambient {I.ambient}")
-    return _generated_by(
-        len(fs), (tuple(g.exponents[i] for i in fs) for g in I.generators)
-    )
+    return _generated_by(len(fs), I.exponents[:, fs])
 
 
 def graded_component(I: MonomialIdeal, j: int) -> MonomialIdeal:
@@ -277,38 +290,34 @@ def graded_component(I: MonomialIdeal, j: int) -> MonomialIdeal:
         raise ValueError("degree must be nonnegative")
     if I.is_zero or j < I.indeg:
         return zero_ideal(I.ambient)
-    gens = []
-    for g in I.generators:
-        d = j - g.degree
-        if d < 0:
-            continue
-        for combo in itertools.combinations_with_replacement(range(I.ambient), d):
-            exps = list(g.exponents)
-            for i in combo:
-                exps[i] += 1
-            gens.append(tuple(exps))
-    return _generated_by(I.ambient, gens)
+    n, degrees = I.ambient, I.exponents.sum(axis=1)
+    parts = [
+        I.exponents[degrees == d][:, None] + _monomials_of_degree(range(n), j - d, n)
+        for d in np.unique(degrees[degrees <= j]).tolist()
+    ]
+    return _generated_by(n, np.concatenate([p.reshape(-1, n) for p in parts]))
 
 
 # ---------------------------------------------------------------------------
 # graphs <-> ideals
 
 
+def _edge_rows(g: Graph) -> np.ndarray:
+    """One 0/1 row per edge {i,j} of g, with ones at i and j."""
+    ends = np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2)
+    rows = np.zeros((len(ends), g.n), dtype=np.int64)
+    rows[np.arange(len(ends))[:, None], ends] = 1
+    return rows
+
+
 def complementary_edge_ideal(g: Graph) -> MonomialIdeal:
     """The ideal generated by (x_1...x_n)/(x_i x_j) over the edges {i,j}."""
-    n = g.n
-    gens = [x_of_set(set(range(n)) - {i, j}, n) for i, j in sorted(g.edges)]
-    if not gens:
-        return zero_ideal(n)
-    return ideal(gens, n)
+    return _generated_by(g.n, 1 - _edge_rows(g))
 
 
 def edge_ideal(g: Graph) -> MonomialIdeal:
     """The ideal generated by x_i x_j over the edges {i,j}."""
-    gens = [x_of_set({i, j}, g.n) for i, j in sorted(g.edges)]
-    if not gens:
-        return zero_ideal(g.n)
-    return ideal(gens, g.n)
+    return _generated_by(g.n, _edge_rows(g))
 
 
 class BigDegreeCase(enum.Enum):
@@ -333,17 +342,11 @@ class CaseClassification:
         return self.case is not BigDegreeCase.NOT_APPLICABLE
 
 
-def _graph_from_degree_n2_gens(
-    gens: Sequence[Monomial], n: int
-) -> Graph:
-    full = frozenset(range(n))
-    edges = []
-    for g in gens:
-        missing = sorted(full - g.support)
-        if len(missing) != 2:
-            raise ValueError(f"generator {g} does not omit exactly two variables")
-        edges.append((missing[0], missing[1]))
-    return Graph(n, frozenset(edges))
+def _graph_of_omitted_pairs(rows: np.ndarray, n: int) -> Graph:
+    """The graph whose edges are the variable pairs that the squarefree
+    degree-(n-2) rows omit, one pair per row."""
+    pairs = np.nonzero(rows == 0)[1].reshape(-1, 2)
+    return Graph(n, frozenset(map(tuple, pairs.tolist())))
 
 
 def classify_big_degree(I: MonomialIdeal) -> CaseClassification:
@@ -362,7 +365,7 @@ def classify_big_degree(I: MonomialIdeal) -> CaseClassification:
     if any(d < n - 2 for d in degs):
         return CaseClassification(BigDegreeCase.NOT_APPLICABLE, n)
     if degs == (n - 2,):
-        g = _graph_from_degree_n2_gens(I.generators, n)
+        g = _graph_of_omitted_pairs(I.exponents, n)
         if complementary_edge_ideal(g) != I:
             raise ValueError("reconstruction mismatch: ideal is not I_c of its graph")
         return CaseClassification(BigDegreeCase.COMPLEMENTARY_EDGE, n, graph=g)
@@ -371,20 +374,17 @@ def classify_big_degree(I: MonomialIdeal) -> CaseClassification:
             BigDegreeCase.MATROIDAL_VERONESE, n, veronese_degree=degs[0]
         )
     if degs == (n - 2, n - 1):
-        small = [g for g in I.generators if g.degree == n - 2]
-        big = [g for g in I.generators if g.degree == n - 1]
-        graph = _graph_from_degree_n2_gens(small, n)
-        iso_vars = set()
-        for g in big:
-            missing = sorted(frozenset(range(n)) - g.support)
-            i = missing[0]
-            if not graph.is_isolated(i):
-                raise ValueError(
-                    f"degree n-1 generator {g} misses non-isolated vertex {i + 1}"
-                )
-            iso_vars.add(i)
+        degrees = I.exponents.sum(axis=1)
+        graph = _graph_of_omitted_pairs(I.exponents[degrees == n - 2], n)
+        # each degree-(n-1) generator omits one variable
+        iso_vars = frozenset(np.nonzero(I.exponents[degrees == n - 1] == 0)[1].tolist())
+        stray = sorted(iso_vars - graph.isolated_vertices)
+        if stray:
+            raise ValueError(
+                f"a degree n-1 generator misses non-isolated vertex {stray[0] + 1}"
+            )
         return CaseClassification(
-            BigDegreeCase.MIXED, n, graph=graph, degree_n1_vars=frozenset(iso_vars)
+            BigDegreeCase.MIXED, n, graph=graph, degree_n1_vars=iso_vars
         )
     return CaseClassification(BigDegreeCase.NOT_APPLICABLE, n)
 
@@ -423,7 +423,7 @@ def minimal_primes_squarefree(I: MonomialIdeal) -> set[frozenset[int]]:
         raise ValueError("minimal primes via transversals requires squarefree input")
     if not I.is_proper:
         raise ValueError("zero and unit ideals have no associated primes here")
-    held = I.exponent_matrix() > 0
+    held = I.exponents > 0
     universe = np.flatnonzero(held.any(axis=0)).tolist()
     # subset t of the support, bit p standing for universe[p]
     drop = 1 << np.arange(len(universe))
@@ -444,13 +444,7 @@ def prime_power(F: Iterable[int], k: int, ambient: int) -> MonomialIdeal:
         raise ValueError("prime needs a nonempty variable set")
     if k < 1:
         raise ValueError("power must be positive")
-    gens = []
-    for combo in itertools.combinations_with_replacement(fs, k):
-        exps = [0] * ambient
-        for i in combo:
-            exps[i] += 1
-        gens.append(tuple(exps))
-    return _generated_by(ambient, gens)
+    return _generated_by(ambient, _monomials_of_degree(fs, k, ambient))
 
 
 def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -493,9 +487,9 @@ def divisor_counts(
     if cell_limit is not None and cells > cell_limit:
         raise LimitExceededError(f"divisor box has {cells} cells, limit {cell_limit}")
     # no cell counts more than every generator
-    dtype = np.min_scalar_type(len(I.generators))
+    dtype = np.min_scalar_type(len(I.exponents))
     counts = np.zeros(shape, dtype=dtype)
-    gens = I.exponent_matrix()
+    gens = I.exponents
     inside = gens[(gens <= np.array(bound.exponents)).all(axis=1)]
     np.add.at(counts, tuple(inside.T), 1)
     for axis in range(counts.ndim):

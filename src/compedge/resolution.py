@@ -435,13 +435,13 @@ def has_linear_quotients(
     """
     if not I.is_proper:
         raise ValueError("linear quotients need a nonzero, non-unit ideal")
-    m = len(I.generators)
+    m = len(I.exponents)
     if m > limit:
         raise LimitExceededError(f"{m} generators exceeds backtracking limit {limit}")
     if m == 1:
         return True, tuple(I.generators)
 
-    arr = I.exponent_matrix()
+    arr = I.exponents
     degs = arr.sum(axis=1)
     bits = 1 << np.arange(I.ambient, dtype=np.int64)
     # gt[v][u]: bitmask of variables t with v_t > u_t

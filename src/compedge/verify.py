@@ -135,7 +135,7 @@ def _prime_colon_witnesses(I: MonomialIdeal, divisor_limit: int) -> _Witnesses:
     for i in range(I.ambient):
         raised += np.where(fmask >> i & 1, 0, (cap[i] - coords[i]) * strides[i])
     ok = (fmask != 0) & ~member[raised]
-    return _Witnesses(I.ambient, np.stack(coords, axis=1)[ok], fmask[ok])
+    return _Witnesses(I.ambient, np.stack([c[ok] for c in coords], axis=1), fmask[ok])
 
 
 def ass_oracle(
@@ -268,13 +268,13 @@ def _colon_exceeds_power(
     The clip is an edge padding of the membership table, so the table at
     u + g is a shifted view of the padded one.
     """
-    bound = np.maximum(Ik.lcm_of_generators().exponents, Ik1.lcm_of_generators().exponents)
-    box = Monomial(tuple(bound.tolist()))
+    bound = np.maximum(Ik.exponents.max(axis=0), Ik1.exponents.max(axis=0)).tolist()
+    box = Monomial(tuple(bound))
     escaped = divisor_counts(Ik, box, divisor_limit) == 0
     member = divisor_counts(Ik1, box, divisor_limit) > 0
-    padded = np.pad(member, [(0, e) for e in I.lcm_of_generators().exponents], mode="edge")
-    for g in I.generators:
-        escaped &= padded[tuple(slice(e, e + b + 1) for e, b in zip(g.exponents, bound))]
+    padded = np.pad(member, [(0, e) for e in I.exponents.max(axis=0).tolist()], mode="edge")
+    for g in I.exponents.tolist():
+        escaped &= padded[tuple(slice(e, e + b + 1) for e, b in zip(g, bound))]
     return bool(escaped.any())
 
 
@@ -617,7 +617,7 @@ def _localization_supports(I: MonomialIdeal, subsets: np.ndarray) -> np.ndarray:
     F in ``subsets``: setting the variables outside F to 1 sends the
     generator with support m to the one with support m & F.  Rows mark the
     minimal supports, as in :func:`compedge.formulas.localization_table`."""
-    gens = np.array([g.support_mask for g in I.generators], dtype=np.int64)
+    gens = (I.exponents > 0) @ (1 << np.arange(I.ambient, dtype=np.int64))
     supports = subsets[:, None] & gens[None, :]
     return minimal_supports(supports, np.ones(supports.shape, dtype=bool), I.ambient)
 
@@ -803,6 +803,8 @@ def sweep(
     n_min = n_max if n_min is None else n_min
     if n_min < 3:
         raise ValueError("sweep needs n >= 3 (smaller graphs give improper ideals)")
+    if n_min > n_max:
+        raise ValueError(f"n_min {n_min} exceeds n_max {n_max}: no graphs to check")
     graphs = [
         g
         for n in range(n_min, n_max + 1)

@@ -133,6 +133,10 @@ class TestSweep:
         assert "census limited to n <= 6" in err
         assert out == ""
 
+    def test_nmin_above_nmax_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--nmax", "4", "--nmin", "5")
+        assert code == 2 and out == "" and "n_min" in err
+
     def test_unknown_check_is_parse_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--nmax", "3", "--checks", "bogus")
         assert code == 2
@@ -204,6 +208,11 @@ class TestBetti:
         assert code == 3
         assert err == "error: divisor box has 10000000 cells, limit 5000000\n"
         assert out == ""
+
+    def test_kmax_below_one_is_usage_error(self, capsys):
+        for kmax in ("0", "-2"):
+            code, out, err = run(capsys, "betti", "--graph6", "Cl", "--kmax", kmax)
+            assert code == 2 and out == "" and "k_max" in err
 
     def test_bad_json_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

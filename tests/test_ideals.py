@@ -2,10 +2,12 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from compedge.cache import cache_key
 from compedge.graphs import (
     Graph,
     complete_graph,
@@ -207,6 +209,53 @@ class TestClosuresAgreeWithReference:
         assert ideal(gens + multiples, 2) == I
         assert _exps(intersect(I, I_("(x1^40001)", 2))) == _ref_intersect(
             _exps(I), ((40001, 0),)
+        )
+
+
+class TestRepresentation:
+    def test_exponents_are_a_read_only_int64_matrix(self):
+        I = I_("(x1*x2, x3^2, x2*x3*x4)", 4)
+        assert I.exponents.dtype == np.int64
+        assert I.exponents.shape == (3, 4)
+        with pytest.raises(ValueError):
+            I.exponents[0, 0] = 5
+        assert zero_ideal(4).exponents.shape == (0, 4)
+        assert unit_ideal(4).exponents.shape == (1, 4)
+
+    def test_one_value_however_built(self):
+        rng = random.Random(7)
+        I = complementary_edge_ideal(cycle_graph(5))
+        I2 = power(I, 2)
+        gens = list(I2.generators)
+        rng.shuffle(gens)
+        extra = [g * h for g in gens[:5] for h in I.generators[:2]]
+        builds = [
+            I2,
+            ideal(gens + extra + gens[:3], 5),
+            multiply(I, I),
+            MonomialIdeal.from_json_dict(I2.to_json_dict()),
+        ]
+        assert all(J == I2 and hash(J) == hash(I2) for J in builds)
+        assert len({J: None for J in builds}) == 1
+        assert I2 != I and I2 != power(I, 3)
+        assert zero_ideal(3) != zero_ideal(4)
+
+    def test_raw_constructor_checks_the_width(self):
+        with pytest.raises(ValueError, match="columns"):
+            MonomialIdeal(3, np.zeros((2, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="columns"):
+            MonomialIdeal(3, np.zeros(3, dtype=np.int64))
+
+    def test_cache_keys_are_unchanged(self):
+        I2 = power(complementary_edge_ideal(cycle_graph(5)), 2)
+        assert cache_key(I2, "prime_colon_witnesses", {"divisor_limit": 1000000}) == (
+            "bb0970e8ea06d3251837c66210a6c9b6c3ae1e35b772074534d45c74a9ca33c3"
+        )
+        assert cache_key(unit_ideal(3), "x", {}) == (
+            "55abecb4993e04f298ddac3806a758ef75bd78d2d6d125383a1dedcc9b3f6cea"
+        )
+        assert cache_key(zero_ideal(3), "x", {}) == (
+            "ed0c0bafa3b7f1fa6ffab084f6ea3e7b37aa82a2231445d6c6808cc881666951"
         )
 
 

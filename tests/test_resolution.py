@@ -47,7 +47,7 @@ def lcm_lattice_reference(I):
     """Reference lcm lattice, the box filter that preceded the divisor-count
     table: a divisor a of the generator lcm is a join of generators iff some
     generator lies below it and the join of those below it equals a."""
-    gens = I.exponent_matrix()
+    gens = I.exponents
     axes = [np.arange(e + 1) for e in I.lcm_of_generators().exponents]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, I.ambient)
     below = (gens[None, :, :] <= grid[:, None, :]).all(axis=2)

@@ -92,7 +92,7 @@ def colon_prime_scan_reference(I):
     """Reference witness scan, the generator broadcast that preceded the
     divisor-count table: (u, F-bitmask) for every divisor u of the generator
     lcm with (I : u) = P_F, read off the quotients g / gcd(g, u)."""
-    gens = I.exponent_matrix()
+    gens = I.exponents
     axes = [np.arange(e + 1) for e in I.lcm_of_generators().exponents]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, I.ambient)
     bits = 1 << np.arange(I.ambient)
@@ -583,6 +583,11 @@ class TestSweep:
         for k_max in (0, -1):
             with pytest.raises(ValueError, match="k_max"):
                 SweepConfig(k_max=k_max)
+
+    def test_rejects_empty_size_range(self):
+        # n_min above n_max would check no graph at all and pass vacuously
+        with pytest.raises(ValueError, match="n_min 5 exceeds n_max 4"):
+            sweep(4, SweepConfig(checks=("ass",)), n_min=5)
 
 
 class TestWitnessKernel:
