@@ -4,6 +4,12 @@ Every function here is a direct transcription of a proved statement, with
 the hypotheses (n >= 3, at least one edge) enforced at this boundary; the
 ideal-level machinery tolerates the degenerate cases instead.  Brute-force
 counterparts live in :mod:`compedge.verify`.
+
+The statements about vertex subsets are computed on bitmasks, bit i for
+vertex i: :func:`ass_infinity_masks` and :func:`ass_first_power_masks` walk
+the subsets with integer bit operations and build no graph per subset, and
+:func:`ass_infinity` and :func:`ass_first_power` give their results as
+vertex sets.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from .graphs import (
     cycle_graph,
     induced_subgraph,
     matching_graph,
+    neighbour_masks,
     path_graph,
+    vertex_set,
 )
 from .ideals import (
     BigDegreeCase,
@@ -55,6 +63,54 @@ class AssPrediction:
     astab_bound: int
 
 
+def _entry_bound(size: int) -> int:
+    """max{1, |F|-2} for a prime P_F with |F| = size."""
+    return max(1, size - 2)
+
+
+def _has_bipartite_edge_component(F: int, reach: list[int]) -> bool:
+    """Whether G|_F has a bipartite component with an edge, where reach[S]
+    is the set of neighbours in G of the vertex set S.
+
+    From the least vertex v of each component in turn, E and O, the
+    vertices reached from v by walks inside F of even and of odd length,
+    grow to E = {v} + N(O), O = N(E).  The component is E | O, and it is
+    bipartite exactly when E and O are disjoint.
+    """
+    rest = F
+    while rest:
+        even, odd = rest & -rest, 0
+        while True:
+            grown_odd = reach[even] & F
+            grown_even = reach[grown_odd] & F | even
+            if grown_odd == odd and grown_even == even:
+                break
+            even, odd = grown_even, grown_odd
+        if odd and not even & odd:
+            return True
+        rest &= ~(even | odd)
+    return False
+
+
+def ass_infinity_masks(g: Graph) -> frozenset[int]:
+    """The stable set of :func:`ass_infinity` as vertex bitmasks (bit i is
+    vertex i), by one parity search per subset."""
+    _require_formula_hypotheses(g)
+    adj = neighbour_masks(g)
+    reach = [0] * (1 << g.n)
+    for S in range(1, 1 << g.n):
+        low = S & -S
+        reach[S] = reach[S ^ low] | adj[low.bit_length() - 1]
+    touched = reach[-1]
+    stable = {1 << i for i in range(g.n) if not touched >> i & 1}
+    F = touched
+    while F:
+        if F & (F - 1) and not _has_bipartite_edge_component(F, reach):
+            stable.add(F)
+        F = (F - 1) & touched
+    return frozenset(stable)
+
+
 def ass_infinity(g: Graph) -> AssPrediction:
     """Stable set of associated primes of the powers of I_c(G).
 
@@ -63,17 +119,27 @@ def ass_infinity(g: Graph) -> AssPrediction:
     non-isolated vertices, |F| > 1, whose induced subgraph has no bipartite
     connected component with more than one vertex.
     """
+    stable = frozenset(map(vertex_set, ass_infinity_masks(g)))
+    bounds = {F: _entry_bound(len(F)) for F in stable}
+    return AssPrediction(stable, bounds, g.n - 2)
+
+
+def ass_first_power_masks(g: Graph) -> frozenset[int]:
+    """The primes of :func:`ass_first_power` as vertex bitmasks."""
     _require_formula_hypotheses(g)
-    iso = g.isolated_vertices
-    stable: set[frozenset[int]] = {frozenset({i}) for i in iso}
-    non_iso = sorted(set(range(g.n)) - iso)
-    for size in range(2, len(non_iso) + 1):
-        for combo in itertools.combinations(non_iso, size):
-            sub, _ = induced_subgraph(g, combo)
-            if component_summary(sub).b_tilde == 0:
-                stable.add(frozenset(combo))
-    bounds = {F: (1 if len(F) == 1 else max(1, len(F) - 2)) for F in stable}
-    return AssPrediction(frozenset(stable), bounds, g.n - 2)
+    adj = neighbour_masks(g)
+    out = {1 << i for i in range(g.n) if not adj[i]}
+    for i, j in itertools.combinations([i for i in range(g.n) if adj[i]], 2):
+        if not adj[i] >> j & 1:
+            out.add(1 << i | 1 << j)
+            continue
+        # the third vertices k > j of the triangles on the edge {i, j}
+        third = adj[i] & adj[j] & -(2 << j)
+        while third:
+            low = third & -third
+            out.add(1 << i | 1 << j | low)
+            third ^= low
+    return frozenset(out)
 
 
 def ass_first_power(g: Graph) -> set[frozenset[int]]:
@@ -83,17 +149,7 @@ def ass_first_power(g: Graph) -> set[frozenset[int]]:
     primes of the rest are the non-edges and the triangles of the peeled
     graph, read in the original labels.
     """
-    _require_formula_hypotheses(g)
-    iso = g.isolated_vertices
-    out: set[frozenset[int]] = {frozenset({i}) for i in iso}
-    non_iso = sorted(set(range(g.n)) - iso)
-    for i, j in itertools.combinations(non_iso, 2):
-        if not g.has_edge(i, j):
-            out.add(frozenset({i, j}))
-    for i, j, k in itertools.combinations(non_iso, 3):
-        if g.has_edge(i, j) and g.has_edge(i, k) and g.has_edge(j, k):
-            out.add(frozenset({i, j, k}))
-    return out
+    return set(map(vertex_set, ass_first_power_masks(g)))
 
 
 def localization_table(g: Graph, masks) -> np.ndarray:
@@ -114,10 +170,7 @@ def localization_table(g: Graph, masks) -> np.ndarray:
         raise ValueError(f"vertex subsets must be nonempty bitmasks below 2^{n}")
     edges = np.array([1 << i | 1 << j for i, j in g.edges], dtype=np.int64)
     bits = 1 << np.arange(n, dtype=np.int64)
-    neighbours = np.zeros(n, dtype=np.int64)
-    for i, j in g.edges:
-        neighbours[i] |= 1 << j
-        neighbours[j] |= 1 << i
+    neighbours = np.array(neighbour_masks(g), dtype=np.int64)
     touched = int(np.bitwise_or.reduce(edges))
     in_a_f = ((F & bits & touched) != 0) & ((F & neighbours) == 0)
     supports = np.concatenate([F ^ edges, F ^ bits, F], axis=1)

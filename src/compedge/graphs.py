@@ -186,6 +186,26 @@ def component_summary(g: Graph) -> ComponentSummary:
     return ComponentSummary(tuple(comps), b, b_tilde, c, isolated)
 
 
+def neighbour_masks(g: Graph) -> list[int]:
+    """Per vertex i, the bitmask of its neighbours: bit j is set when {i, j}
+    is an edge."""
+    adj = [0] * g.n
+    for i, j in g.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def vertex_set(mask: int) -> frozenset[int]:
+    """The vertices whose bits are set in ``mask``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``vertices``, relabeled onto 0..|F|-1.
 

@@ -422,27 +422,19 @@ def is_componentwise_linear(I: MonomialIdeal, p: int = DEFAULT_PRIME) -> bool:
 # linear quotients
 
 
-def has_linear_quotients(
-    I: MonomialIdeal, limit: int = DEFAULT_QUOTIENTS_LIMIT
-) -> tuple[bool, tuple[Monomial, ...] | None]:
-    """Search for a linear-quotients order of the minimal generators.
-
-    Exact backtracking over orders with nondecreasing degrees (an ideal with
-    linear quotients always admits such an order), with memoization on the
-    set of already-placed generators.  Returns (True, witness order) or
-    (False, None) after exhausting the search.  More than ``limit``
-    generators raises :class:`LimitExceededError`.
-    """
+def _linear_quotients_order(I: MonomialIdeal, limit: int) -> list[int] | None:
+    """The search of :func:`has_linear_quotients`: a linear-quotients order
+    as row indices of ``I.exponents``, or None."""
     if not I.is_proper:
         raise ValueError("linear quotients need a nonzero, non-unit ideal")
     m = len(I.exponents)
     if m > limit:
         raise LimitExceededError(f"{m} generators exceeds backtracking limit {limit}")
     if m == 1:
-        return True, tuple(I.generators)
+        return [0]
 
     arr = I.exponents
-    degs = arr.sum(axis=1)
+    degs = arr.sum(axis=1).tolist()
     bits = 1 << np.arange(I.ambient, dtype=np.int64)
     # gt[v][u]: bitmask of variables t with v_t > u_t
     # sv[w][u]: the variable bit when (w : u) is a single variable, else 0
@@ -454,6 +446,8 @@ def has_linear_quotients(
         diff = np.maximum(arr[lo : lo + step, None, :] - arr[None, :, :], 0)
         gt[lo : lo + step] = (diff > 0) @ bits
         sv[lo : lo + step] = np.where(diff.sum(axis=2) == 1, gt[lo : lo + step], 0)
+    # by column, as Python ints: gt_to[u][v] is gt[v][u]
+    gt_to, sv_to = gt.T.tolist(), sv.T.tolist()
 
     order: list[int] = []
     dead: set[int] = set()
@@ -461,12 +455,13 @@ def has_linear_quotients(
     dead_cap = min(1 << 22, _DEAD_BITS // m)
 
     def admissible(u: int) -> bool:
+        sv_u, gt_u = sv_to[u], gt_to[u]
         tmask = 0
         for w in order:
-            tmask |= int(sv[w, u])
+            tmask |= sv_u[w]
         if tmask == 0:
             return False
-        return all(int(gt[v, u]) & tmask for v in order)
+        return all(gt_u[v] & tmask for v in order)
 
     def next_candidate(mask: int, start: int) -> int:
         """First generator from ``start`` on that can be placed next, or m."""
@@ -493,7 +488,24 @@ def has_linear_quotients(
         if len(dead) < dead_cap:
             dead.add(mask)
         if not order:
-            return False, None
+            return None
         u = order.pop()
         mask, start = mask & ~(1 << u), u + 1
+    return order
+
+
+def has_linear_quotients(
+    I: MonomialIdeal, limit: int = DEFAULT_QUOTIENTS_LIMIT
+) -> tuple[bool, tuple[Monomial, ...] | None]:
+    """Search for a linear-quotients order of the minimal generators.
+
+    Exact backtracking over orders with nondecreasing degrees (an ideal with
+    linear quotients always admits such an order), with memoization on the
+    set of already-placed generators.  Returns (True, witness order) or
+    (False, None) after exhausting the search.  More than ``limit``
+    generators raises :class:`LimitExceededError`.
+    """
+    order = _linear_quotients_order(I, limit)
+    if order is None:
+        return False, None
     return True, tuple(I.generators[i] for i in order)

@@ -15,11 +15,13 @@ the powers of I_c of the canonical form (:func:`compedge.graphs.canonical_form`)
 keyed by that graph, the operation, k and its parameters, in memory and in
 the optional disk cache.  Every oracle is equivariant under relabeling
 vertices, so a labeled graph reads the class's result back through the
-inverse relabeling: Ass sets are relabeled, while v, reg, depth and the
-booleans pass unchanged.  The closed forms are still evaluated on every
-labeled graph, and read its case classification from the graph itself; a
-labeled graph builds its own I_c(G) only for the localization check and
-to report field-dependent Betti tables.
+relabeling: v, reg, depth and the booleans pass unchanged, while vertex
+sets are bitmasks, relabeled through one table of every bitmask of the
+graph, and the localization table has its rows and columns permuted.  The
+closed forms are still evaluated on every labeled graph, the subset ones
+on bitmasks too, and read its case classification from the graph itself;
+a labeled graph builds its own I_c(G) only to report field-dependent Betti
+tables.  Reports list vertex sets by size, then lexicographically.
 
 Strong persistence, I^(k+1) : I = I^k, and the symbolic-power identity
 I^(k) = I^k are decided on the same table, as membership over one box,
@@ -28,7 +30,8 @@ without building the colon ideal or the symbolic power.
 The localization check compares two per-graph tables, one row per nonempty
 vertex subset F and one column per support bitmask: the minimal generator
 supports of the localization of I_c(G) at P_F, read off the generators of
-I_c(G), against :func:`compedge.formulas.localization_table`.
+I_c of the canonical form and relabeled, against
+:func:`compedge.formulas.localization_table` of the labeled graph.
 """
 
 from __future__ import annotations
@@ -37,13 +40,14 @@ import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
 
 from . import formulas
 from .cache import DiskCache, cache_key
-from .graphs import Graph, canonical_form, enumerate_labeled_graphs, to_graph6
+from .graphs import Graph, canonical_form, enumerate_labeled_graphs, to_graph6, vertex_set
 from .ideals import (
     BigDegreeCase,
     CaseClassification,
@@ -61,8 +65,9 @@ from .monomials import Monomial
 from .resolution import (
     DEFAULT_QUOTIENTS_LIMIT,
     HomologicalInvariants,
+    _check_prime,
+    _linear_quotients_order,
     betti_table,
-    has_linear_quotients,
     is_componentwise_linear,
     reg_pd_depth,
 )
@@ -74,10 +79,6 @@ REPORT_SCHEMA_VERSION = 1
 def _require_proper(I: MonomialIdeal) -> None:
     if not I.is_proper:
         raise ValueError("oracle needs a nonzero, non-unit ideal")
-
-
-def _mask_to_set(mask: int, n: int) -> frozenset[int]:
-    return frozenset(i for i in range(n) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,11 @@ class _Witnesses:
     exps: np.ndarray
     masks: np.ndarray
 
+    def prime_masks(self) -> frozenset[int]:
+        return frozenset(np.unique(self.masks).tolist())
+
     def primes(self) -> set[frozenset[int]]:
-        return {_mask_to_set(int(m), self.ambient) for m in np.unique(self.masks)}
+        return set(map(vertex_set, self.prime_masks()))
 
     def least(self, mask: int | None = None) -> VWitness | None:
         """The witness least by (degree, exponents), among those with prime
@@ -108,7 +112,7 @@ class _Witnesses:
         exps = self.exps[rows]
         best = rows[np.lexsort(np.vstack([exps.T[::-1], exps.sum(axis=1)]))[0]]
         u = tuple(int(x) for x in self.exps[best])
-        return VWitness(sum(u), Monomial(u), _mask_to_set(int(self.masks[best]), self.ambient))
+        return VWitness(sum(u), Monomial(u), vertex_set(int(self.masks[best])))
 
 
 def _prime_colon_witnesses(I: MonomialIdeal, divisor_limit: int) -> _Witnesses:
@@ -357,6 +361,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+        if not self.primes:
+            raise ValueError("primes must name at least one characteristic")
+        for p in self.primes:
+            _check_prime(p)
 
 
 @dataclass
@@ -388,10 +396,22 @@ class VerificationReport:
         }
 
 
-def _fmt_primes(primes: Iterable[frozenset[int]]) -> list[list[int]]:
-    return sorted(
-        (sorted(i + 1 for i in f) for f in primes), key=lambda s: (len(s), s)
-    )
+@lru_cache(maxsize=None)
+def _report_order(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Per vertex bitmask on n vertices, its rank in the report order of
+    vertex sets, by size and then lexicographically, and its sorted 1-based
+    vertices."""
+    names = tuple(tuple(i + 1 for i in range(n) if mask >> i & 1) for mask in range(1 << n))
+    rank = [0] * (1 << n)
+    for r, mask in enumerate(sorted(range(1 << n), key=lambda m: (len(names[m]), names[m]))):
+        rank[mask] = r
+    return tuple(rank), names
+
+
+def _fmt_masks(masks: Iterable[int], n: int) -> list[list[int]]:
+    """Vertex bitmasks as sorted 1-based lists, in the report order."""
+    rank, names = _report_order(n)
+    return [list(names[m]) for m in sorted(masks, key=rank.__getitem__)]
 
 
 class _Budget:
@@ -432,10 +452,12 @@ class _GraphState:
     forms read the labeled graph.  Every oracle runs on the powers of I_c of
     the canonical form, built on the first memo miss, once per isomorphism
     class in a process (``_class_memo``), and the labeled graph reads the
-    result back through the inverse relabeling: Ass sets are relabeled,
-    numbers and booleans pass unchanged.  Each power is scanned for prime
-    colon witnesses once; the Ass, v, persistence and entry-bound checks all
-    read that one result.
+    result back through the relabeling: numbers and booleans pass
+    unchanged, while vertex sets are bitmasks, relabeled through one table
+    of every bitmask (``to_labeled``) that is built only when a check reads
+    a vertex set and the relabeling is not the identity.  Each power is
+    scanned for prime colon witnesses once, and its Ass set relabeled once;
+    the Ass, v, persistence and entry-bound checks all read that one result.
     """
 
     def __init__(self, g: Graph, cfg: SweepConfig, cache: DiskCache | None):
@@ -447,6 +469,20 @@ class _GraphState:
         # inverse[perm[i]] == i: canonical vertex j is labeled vertex inverse[j]
         self.inverse = tuple(sorted(range(g.n), key=perm.__getitem__))
         self._powers: list[MonomialIdeal] = []
+        self._ass: dict[int, frozenset[int]] = {}
+
+    @cached_property
+    def to_labeled(self) -> list[int] | None:
+        """Entry c is the labeled bitmask of the canonical vertex bitmask c;
+        None when the relabeling is the identity, as it always is above
+        ``DEFAULT_ISO_LIMIT`` vertices."""
+        if self.inverse == tuple(range(self.g.n)):
+            return None
+        table = [0] * (1 << self.g.n)
+        for c in range(1, 1 << self.g.n):
+            low = c & -c
+            table[c] = table[c ^ low] | 1 << self.inverse[low.bit_length() - 1]
+        return table
 
     def power(self, k: int) -> MonomialIdeal:
         """The k-th power of I_c of the canonical form."""
@@ -476,25 +512,59 @@ class _GraphState:
         _class_memo[key] = value
         return value
 
-    def witnesses(self, k: int) -> tuple[set[frozenset[int]], int]:
-        """Ass(I^k) and v(I^k), from one scan."""
+    def witnesses(self, k: int) -> tuple[frozenset[int], int]:
+        """Ass(I^k) of the canonical form as vertex bitmasks, and v(I^k),
+        from one scan."""
 
         def compute(Ik):
             found = _prime_colon_witnesses(Ik, self.cfg.divisor_limit)
-            return frozenset(found.primes()), found.least().v
+            return found.prime_masks(), found.least().v
 
-        ass, v = self._memo(
+        return self._memo(
             "prime_colon_witnesses",
             k,
             {"divisor_limit": self.cfg.divisor_limit},
             compute,
-            lambda value: {"ass": [sorted(f) for f in value[0]], "v": value[1]},
-            lambda data: (frozenset(frozenset(f) for f in data["ass"]), data["v"]),
+            lambda value: {"ass": [sorted(vertex_set(F)) for F in value[0]], "v": value[1]},
+            lambda data: (frozenset(sum(1 << i for i in F) for F in data["ass"]), data["v"]),
         )
-        return {frozenset(self.inverse[j] for j in F) for F in ass}, v
 
-    def asses(self) -> list[set[frozenset[int]]]:
-        return [self.witnesses(k)[0] for k in range(1, self.cfg.k_max + 1)]
+    def ass(self, k: int) -> frozenset[int]:
+        """Ass(I_c(G)^k) of the labeled graph, as vertex bitmasks."""
+        if k not in self._ass:
+            ass, to_labeled = self.witnesses(k)[0], self.to_labeled
+            self._ass[k] = ass if to_labeled is None else frozenset(map(to_labeled.__getitem__, ass))
+        return self._ass[k]
+
+    def asses(self) -> list[frozenset[int]]:
+        return [self.ass(k) for k in range(1, self.cfg.k_max + 1)]
+
+    def localization(self) -> np.ndarray:
+        """:func:`_localization_supports` of the labeled I_c(G) at every
+        nonempty vertex subset, read off the class's table: row F - 1 and
+        column s of the labeled table are row f(F) - 1 and column f(s) of
+        the canonical one, for f the relabeling of bitmasks onto the
+        canonical form."""
+        subsets = np.arange(1, 1 << self.g.n)
+
+        def load(rows):
+            table = np.zeros((len(rows), len(rows) + 1), dtype=bool)
+            for r, cols in enumerate(rows):
+                table[r, cols] = True
+            return table
+
+        table = self._memo(
+            "localization_supports",
+            1,
+            {},
+            lambda I: _localization_supports(I, subsets),
+            lambda table: [np.flatnonzero(row).tolist() for row in table],
+            load,
+        )
+        if self.to_labeled is None:
+            return table
+        to_canonical = np.argsort(self.to_labeled)
+        return table[np.ix_(to_canonical[subsets] - 1, to_canonical)]
 
     def invariants(self, k: int) -> HomologicalInvariants:
         p = self.cfg.primes[0]
@@ -515,7 +585,10 @@ class _GraphState:
             "linear",
             k,
             {"p": p, "lq_limit": limit},
-            lambda Ik: (has_linear_quotients(Ik, limit)[0], is_componentwise_linear(Ik, p)),
+            lambda Ik: (
+                _linear_quotients_order(Ik, limit) is not None,
+                is_componentwise_linear(Ik, p),
+            ),
             list,
             tuple,
         )
@@ -555,12 +628,12 @@ class _GraphState:
 def _check_ass(st: _GraphState, rpt: VerificationReport) -> bool:
     g, cfg = st.g, st.cfg
     asses = st.asses()
-    first = formulas.ass_first_power(g)
-    stable = formulas.ass_infinity(g).stable_set
+    first = formulas.ass_first_power_masks(g)
+    stable = formulas.ass_infinity_masks(g)
     ok = asses[0] == first
     for k in range(1, cfg.k_max + 1):
         entry = rpt.per_k.setdefault(k, {})
-        entry["ass_oracle"] = _fmt_primes(asses[k - 1])
+        entry["ass_oracle"] = _fmt_masks(asses[k - 1], g.n)
         if k == 1:
             entry["ass_formula_match"] = asses[0] == first
         elif k >= g.n - 2:
@@ -570,42 +643,39 @@ def _check_ass(st: _GraphState, rpt: VerificationReport) -> bool:
         else:
             entry["ass_formula_match"] = None
     rpt.details["ass"] = {
-        "first_power_formula": _fmt_primes(first),
-        "stable_formula": _fmt_primes(stable),
+        "first_power_formula": _fmt_masks(first, g.n),
+        "stable_formula": _fmt_masks(stable, g.n),
     }
     return ok
 
 
 def _check_persistence(st: _GraphState, rpt: VerificationReport) -> bool:
-    res = _persistence(st.asses())
-    if not res.holds:
-        k, prime = res.first_violation
-        rpt.details["persistence"] = {
-            "violation_k": k,
-            "lost_prime": sorted(i + 1 for i in prime),
-        }
-    return res.holds
+    asses = st.asses()
+    for k in range(1, len(asses)):
+        lost = asses[k - 1] - asses[k]
+        if lost:
+            rpt.details["persistence"] = {
+                "violation_k": k,
+                "lost_prime": _fmt_masks(lost, st.g.n)[0],
+            }
+            return False
+    return True
 
 
 def _check_entry_bound(st: _GraphState, rpt: VerificationReport) -> bool:
-    pred = formulas.ass_infinity(st.g)
+    stable = formulas.ass_infinity_masks(st.g)
     asses = st.asses()
+    rank, names = _report_order(st.g.n)
     rows = []
     ok = True
-    for F in sorted(pred.stable_set, key=lambda f: (len(f), sorted(f))):
-        if len(F) < 2:
+    for F in sorted(stable, key=rank.__getitem__):
+        if len(names[F]) < 2:
             continue
-        bound = pred.entry_bounds[F]
+        bound = formulas._entry_bound(len(names[F]))
         observed = next(
             (k for k in range(1, st.cfg.k_max + 1) if F in asses[k - 1]), None
         )
-        rows.append(
-            {
-                "prime": sorted(i + 1 for i in F),
-                "bound": bound,
-                "observed_entry": observed,
-            }
-        )
+        rows.append({"prime": list(names[F]), "bound": bound, "observed_entry": observed})
         if bound <= st.cfg.k_max and (observed is None or observed > bound):
             ok = False
     rpt.details["entry-bound"] = rows
@@ -623,15 +693,11 @@ def _localization_supports(I: MonomialIdeal, subsets: np.ndarray) -> np.ndarray:
 
 
 def _check_localization(st: _GraphState, rpt: VerificationReport) -> bool:
-    n = st.g.n
-    subsets = np.arange(1, 1 << n)
-    oracle = _localization_supports(complementary_edge_ideal(st.g), subsets)
+    subsets = np.arange(1, 1 << st.g.n)
     formula = formulas.localization_table(st.g, subsets)
-    bad = subsets[(oracle != formula).any(axis=1)]
+    bad = subsets[(st.localization() != formula).any(axis=1)]
     if bad.size:
-        rpt.details["localization"] = {
-            "mismatched_subsets": _fmt_primes(_mask_to_set(F, n) for F in bad.tolist())
-        }
+        rpt.details["localization"] = {"mismatched_subsets": _fmt_masks(bad.tolist(), st.g.n)}
     return not bad.size
 
 

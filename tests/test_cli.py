@@ -111,6 +111,13 @@ class TestSweep:
         assert len(lines) == 63
         assert (tmp_path / "summary.md").read_text() == out
 
+    def test_characteristic_that_is_not_a_prime_is_usage_error(self, capsys):
+        for checks, primes in (("ass", "4"), ("reg", "2,4")):
+            code, out, err = run(
+                capsys, "sweep", "--nmax", "3", "--kmax", "1", "--checks", checks, "--primes", primes
+            )
+            assert code == 2 and out == "" and "characteristic must be a small prime" in err
+
     def test_failing_check_nonzero_exit(self, capsys):
         # the entry-bound corollary fails on the stars, so exit is 1
         code, out, _ = run(

@@ -7,7 +7,9 @@ import pytest
 import compedge.formulas
 from compedge.formulas import (
     ass_first_power,
+    ass_first_power_masks,
     ass_infinity,
+    ass_infinity_masks,
     depth_and_dstab_closed_form,
     linear_powers_predicate,
     localization_formula,
@@ -19,8 +21,11 @@ from compedge.formulas import (
 )
 from compedge.graphs import (
     Graph,
+    canonical_form,
     complete_graph,
+    component_summary,
     cycle_graph,
+    enumerate_labeled_graphs,
     induced_subgraph,
     matching_graph,
     path_graph,
@@ -47,6 +52,97 @@ def fs(*vals):
 
 def cls_of(g):
     return classify_big_degree(complementary_edge_ideal(g))
+
+
+def mask_of(F):
+    return sum(1 << i for i in F)
+
+
+@pytest.fixture(scope="module")
+def labeled_graphs(edged_census):
+    """Every labeled graph with an edge on 3..5 vertices, and a seeded
+    sample of 300 of those on 6."""
+    n6 = [g for g in enumerate_labeled_graphs(6) if g.edges]
+    return [g for n in (3, 4, 5) for g in edged_census[n]] + random.Random(13).sample(n6, 300)
+
+
+def ass_infinity_reference(g):
+    """The stable set as the subset loop that preceded the bitmask kernel:
+    the isolated singletons, and every F of at least two non-isolated
+    vertices whose induced subgraph has b~ = 0."""
+    iso = g.isolated_vertices
+    stable = {frozenset({i}) for i in iso}
+    non_iso = sorted(set(range(g.n)) - iso)
+    for size in range(2, len(non_iso) + 1):
+        for combo in itertools.combinations(non_iso, size):
+            sub, _ = induced_subgraph(g, combo)
+            if component_summary(sub).b_tilde == 0:
+                stable.add(frozenset(combo))
+    return stable
+
+
+def ass_first_power_reference(g):
+    """Ass(I_c(G)) as the loop that preceded the bitmask kernel: the
+    isolated singletons, then the non-edges and triangles of the rest."""
+    iso = g.isolated_vertices
+    out = {frozenset({i}) for i in iso}
+    non_iso = sorted(set(range(g.n)) - iso)
+    for i, j in itertools.combinations(non_iso, 2):
+        if not g.has_edge(i, j):
+            out.add(frozenset({i, j}))
+    for i, j, k in itertools.combinations(non_iso, 3):
+        if g.has_edge(i, j) and g.has_edge(i, k) and g.has_edge(j, k):
+            out.add(frozenset({i, j, k}))
+    return out
+
+
+class TestMaskKernels:
+    def test_agree_with_reference_loops(self, labeled_graphs):
+        for g in labeled_graphs:
+            stable, first = ass_infinity_reference(g), ass_first_power_reference(g)
+            assert ass_infinity_masks(g) == {mask_of(F) for F in stable}, str(g)
+            assert ass_first_power_masks(g) == {mask_of(F) for F in first}, str(g)
+            pred = ass_infinity(g)
+            assert pred.stable_set == stable
+            assert pred.entry_bounds == {F: 1 if len(F) == 1 else max(1, len(F) - 2) for F in stable}
+            assert ass_first_power(g) == first
+
+    def test_guards(self):
+        for kernel in (ass_infinity_masks, ass_first_power_masks):
+            with pytest.raises(ValueError, match="at least 3 vertices"):
+                kernel(matching_graph(1))
+            with pytest.raises(ValueError, match="at least one edge"):
+                kernel(Graph(4, frozenset()))
+
+
+class TestEquivariance:
+    def test_closed_forms_commute_with_relabeling(self, labeled_graphs):
+        # every closed form at g is its value at the canonical form, read
+        # back through the relabeling: canonical vertex perm[i] is vertex i
+        for g in labeled_graphs:
+            canon, perm = canonical_form(g)
+            n = g.n
+
+            def back(F):
+                return frozenset(i for i in range(n) if perm[i] in F)
+
+            assert ass_first_power(g) == set(map(back, ass_first_power(canon)))
+            pred, cpred = ass_infinity(g), ass_infinity(canon)
+            assert pred.stable_set == set(map(back, cpred.stable_set))
+            assert pred.entry_bounds == {back(F): b for F, b in cpred.entry_bounds.items()}
+            assert pred.astab_bound == cpred.astab_bound
+            # labeled bitmask -> canonical bitmask, for rows and columns
+            fwd = np.array([mask_of(perm[i] for i in range(n) if m >> i & 1) for m in range(1 << n)])
+            subsets = np.arange(1, 1 << n)
+            table = localization_table(g, subsets)
+            assert np.array_equal(table, localization_table(canon, subsets)[np.ix_(fwd[1:] - 1, fwd)])
+            cls, ccls = cls_of(g), cls_of(canon)
+            for k in (1, 2, 3):
+                assert v_closed_form(g, k) == v_closed_form(canon, k)
+                assert reg_closed_form(cls, k) == reg_closed_form(ccls, k)
+            assert depth_and_dstab_closed_form(cls) == depth_and_dstab_closed_form(ccls)
+            assert linear_powers_predicate(cls) == linear_powers_predicate(ccls)
+            assert symbolic_equals_ordinary_class(g) == symbolic_equals_ordinary_class(canon)
 
 
 class TestAssInfinity:

@@ -20,6 +20,7 @@ from compedge.graphs import (
     enumerate_labeled_graphs,
     matching_graph,
     path_graph,
+    vertex_set,
 )
 from compedge.ideals import (
     LimitExceededError,
@@ -423,15 +424,22 @@ class TestCache:
         assert fresh.per_k == plain.per_k and fresh.summary == plain.summary
         assert len(list(tmp_path.glob("*/*.json"))) == 4
 
-    def test_sweep_with_cache_matches(self, tmp_path):
+    def test_sweep_with_cache_matches(self, tmp_path, monkeypatch):
         # every oracle of the sweep writes to and reads from the disk cache
         cfg = SweepConfig(k_max=2, cache_dir=str(tmp_path))
         plain = SweepConfig(k_max=2)
         g = cycle_graph(4)
+        assert canonical_form(g)[0] != g  # so the cached tables are relabeled
         new_process()
         first = run_graph_checks(g, cfg)
         new_process()
-        second = run_graph_checks(g, cfg)  # now served from cache
+
+        def uncached(I, subsets):
+            raise AssertionError("the localization table is in the cache")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(compedge.verify, "_localization_supports", uncached)
+            second = run_graph_checks(g, cfg)  # now served from cache
         new_process()
         base = run_graph_checks(g, plain)
         assert first.summary == second.summary == base.summary
@@ -584,6 +592,14 @@ class TestSweep:
             with pytest.raises(ValueError, match="k_max"):
                 SweepConfig(k_max=k_max)
 
+    def test_rejects_characteristics_that_are_not_small_primes(self):
+        # checked up front, whether or not a selected check reads them
+        with pytest.raises(ValueError, match="at least one characteristic"):
+            SweepConfig(primes=())
+        for primes in ((4,), (2, 4), (1,), (0,), (101,)):
+            with pytest.raises(ValueError, match="characteristic must be a small prime"):
+                SweepConfig(checks=("ass",), primes=primes)
+
     def test_rejects_empty_size_range(self):
         # n_min above n_max would check no graph at all and pass vacuously
         with pytest.raises(ValueError, match="n_min 5 exceeds n_max 4"):
@@ -692,16 +708,22 @@ class TestClassMemo:
             "betti-field-independence": outcome(_same_betti_tables, Ik, cfg.primes),
             "symbolic": outcome(_symbolic_equals_ordinary, I, power(I, 2), 2, cfg.divisor_limit),
             "strong-persistence": outcome(strong_persistence),
+            "localization": _localization_supports(I, np.arange(1, 1 << I.ambient)).tolist(),
         }
 
     def memoized(self, st, k):
+        def witnesses():
+            # the labeled Ass set, as vertex sets, and the class's v
+            return set(map(vertex_set, st.ass(k))), st.witnesses(k)[1]
+
         return {
-            "witnesses": outcome(st.witnesses, k),
+            "witnesses": outcome(witnesses),
             "reg_pd_depth": outcome(st.invariants, k),
             "linear": outcome(st.linear, k),
             "betti-field-independence": outcome(st.same_betti_tables, k),
             "symbolic": outcome(st.symbolic),
             "strong-persistence": outcome(st.strong_persistence),
+            "localization": st.localization().tolist(),
         }
 
     def test_memo_equals_direct_oracles(self, edged_census):
