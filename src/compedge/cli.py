@@ -36,7 +36,6 @@ from .verify import (
     DEFAULT_DIVISOR_LIMIT,
     SweepConfig,
     markdown_summary,
-    normalize_checks,
     run_graph_checks,
     sweep,
     sweep_passed,
@@ -191,7 +190,7 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     reports = sweep(
         args.nmax,
-        _sweep_config(args, normalize_checks(args.checks.split(","))),
+        _sweep_config(args, tuple(args.checks.split(","))),
         n_min=args.nmin,
         workers=args.workers,
     )

@@ -52,9 +52,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return sum(1 for e in self.edges if i in e)
 
-    def neighbors(self, i: int) -> set[int]:
-        return {j for e in self.edges for j in e if i in e and j != i}
-
     def is_isolated(self, i: int) -> bool:
         return all(i not in e for e in self.edges)
 
@@ -272,12 +269,10 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     return Graph.from_edges(g.n, ((perm[i], perm[j]) for i, j in g.edges)), perm
 
 
-def is_isomorphic(g: Graph, h: Graph, limit: int = DEFAULT_ISO_LIMIT) -> bool:
-    """Equal canonical forms; ``limit`` (at most ``DEFAULT_ISO_LIMIT``)
-    bounds the vertex count."""
-    limit = min(limit, DEFAULT_ISO_LIMIT)
-    if g.n > limit or h.n > limit:
-        raise ValueError(f"isomorphism test limited to n <= {limit}")
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Equal canonical forms, on at most ``DEFAULT_ISO_LIMIT`` vertices."""
+    if g.n > DEFAULT_ISO_LIMIT or h.n > DEFAULT_ISO_LIMIT:
+        raise ValueError(f"isomorphism test limited to n <= {DEFAULT_ISO_LIMIT}")
     return g.n == h.n and canonical_form(g)[0] == canonical_form(h)[0]
 
 
@@ -286,18 +281,17 @@ def _pair_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
-def enumerate_labeled_graphs(
-    n: int, limit: int = DEFAULT_CENSUS_LIMIT
-) -> Iterator[Graph]:
-    """All 2^(n(n-1)/2) labeled graphs on n vertices, bitmask ascending.
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
+    """All 2^(n(n-1)/2) labeled graphs on n vertices, bitmask ascending, for
+    n up to ``DEFAULT_CENSUS_LIMIT``.
 
     Bit k of the mask toggles the k-th pair in column-major upper-triangle
     order, the same order used by the graph6 encoding.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > limit:
-        raise ValueError(f"census limited to n <= {limit}")
+    if n > DEFAULT_CENSUS_LIMIT:
+        raise ValueError(f"census limited to n <= {DEFAULT_CENSUS_LIMIT}")
     pairs = _pair_order(n)
     for mask in range(1 << len(pairs)):
         edges = frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)

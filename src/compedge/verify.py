@@ -10,18 +10,21 @@ since exponents of u above the lcm never affect divisibility by a
 generator.  The fuzz suite cross-validates this against the independent
 localization/socle route.
 
-The sweep runs every oracle once per isomorphism class in a process: on
-the powers of I_c of the canonical form (:func:`compedge.graphs.canonical_form`),
-keyed by that graph, the operation, k and its parameters, in memory and in
-the optional disk cache.  Every oracle is equivariant under relabeling
-vertices, so a labeled graph reads the class's result back through the
-relabeling: v, reg, depth and the booleans pass unchanged, while vertex
-sets are bitmasks, relabeled through one table of every bitmask of the
-graph, and the localization table has its rows and columns permuted.  The
-closed forms are still evaluated on every labeled graph, the subset ones
-on bitmasks too, and read its case classification from the graph itself;
-a labeled graph builds its own I_c(G) only to report field-dependent Betti
-tables.  Reports list vertex sets by size, then lexicographically.
+The sweep runs every oracle once per isomorphism class in a process, on
+the powers of I_c of the canonical form (:func:`compedge.graphs.canonical_form`).
+A process keeps one record per canonical graph: the results on those
+powers, keyed by the operation, k and its parameters.  The powers
+themselves are built on a miss and dropped with the labeled graph.  The
+optional disk cache keys the same results by the power itself.  Every
+oracle is equivariant under relabeling vertices, so a labeled graph reads
+the class's result back through the relabeling: v, reg, depth and the
+booleans pass unchanged, while vertex sets are bitmasks, relabeled through
+one table of every bitmask of the graph, and the localization table has
+its rows and columns permuted.  The closed forms are still evaluated on
+every labeled graph, the subset ones on bitmasks too, and read its case
+classification from the graph itself; a labeled graph builds its own
+I_c(G) only to report field-dependent Betti tables.  Reports list vertex
+sets by size, then lexicographically.
 
 Strong persistence, I^(k+1) : I = I^k, and the symbolic-power identity
 I^(k) = I^k are decided on the same table, as membership over one box,
@@ -40,7 +43,7 @@ import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable
 
 import numpy as np
@@ -233,16 +236,25 @@ class PersistenceResult:
     ass_by_k: tuple[frozenset[frozenset[int]], ...]
 
 
-def _persistence(asses: list[set[frozenset[int]]]) -> PersistenceResult:
-    """Persistence along ``asses``, which lists Ass(I), Ass(I^2), ..., Ass(I^k_max)."""
+def _first_loss(asses: list[set]) -> tuple[int, set] | None:
+    """The least k with a prime of Ass(I^k) missing from Ass(I^(k+1)), and
+    those primes, along ``asses``, which lists Ass(I), Ass(I^2), ...,
+    Ass(I^k_max); None when every prime persists."""
     for k in range(1, len(asses)):
         lost = asses[k - 1] - asses[k]
         if lost:
-            worst = min(lost, key=lambda f: (len(f), sorted(f)))
-            return PersistenceResult(
-                False, (k, worst), tuple(frozenset(a) for a in asses)
-            )
-    return PersistenceResult(True, None, tuple(frozenset(a) for a in asses))
+            return k, lost
+    return None
+
+
+def _persistence(asses: list[set[frozenset[int]]]) -> PersistenceResult:
+    """Persistence along ``asses``, which lists Ass(I), Ass(I^2), ..., Ass(I^k_max)."""
+    ass_by_k = tuple(frozenset(a) for a in asses)
+    loss = _first_loss(asses)
+    if loss is None:
+        return PersistenceResult(True, None, ass_by_k)
+    k, lost = loss
+    return PersistenceResult(False, (k, min(lost, key=lambda f: (len(f), sorted(f)))), ass_by_k)
 
 
 def persistence_check(
@@ -330,43 +342,6 @@ def _symbolic_equals_ordinary(
 # sweep harness
 
 
-ALL_CHECKS = (
-    "ass",
-    "persistence",
-    "entry-bound",
-    "localization",
-    "reg",
-    "depth-monotone",
-    "depth-stable",
-    "v",
-    "symbolic",
-    "linear",
-    "betti-field-independence",
-    "strong-persistence",
-)
-
-_INFORMATIONAL_CHECKS = frozenset({"strong-persistence"})
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    k_max: int = 3
-    checks: tuple[str, ...] = ALL_CHECKS
-    primes: tuple[int, ...] = (2, 3)
-    divisor_limit: int = DEFAULT_DIVISOR_LIMIT
-    lq_limit: int = DEFAULT_QUOTIENTS_LIMIT
-    budget_ms: float | None = None
-    cache_dir: str | None = None
-
-    def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
-        if not self.primes:
-            raise ValueError("primes must name at least one characteristic")
-        for p in self.primes:
-            _check_prime(p)
-
-
 @dataclass
 class VerificationReport:
     graph: Graph
@@ -414,28 +389,14 @@ def _fmt_masks(masks: Iterable[int], n: int) -> list[list[int]]:
     return [list(names[m]) for m in sorted(masks, key=rank.__getitem__)]
 
 
-class _Budget:
-    def __init__(self, budget_ms: float | None):
-        self.start = time.perf_counter()
-        self.budget_ms = budget_ms
-
-    def check(self) -> None:
-        if self.budget_ms is None:
-            return
-        if (time.perf_counter() - self.start) * 1000.0 > self.budget_ms:
-            raise _BudgetExceeded()
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-# Oracle results per (canonical graph, operation, k, params), shared by every
-# labeled graph of an isomorphism class within one process.  The values are
-# immutable, so every caller can share them.  Past this many entries the
-# oldest are dropped.
-_CLASS_MEMO_SIZE = 1 << 15
-_class_memo: dict[tuple, object] = {}
+@lru_cache(maxsize=2048)
+def _class_memo(canon: Graph) -> dict[tuple, object]:
+    """The oracle results of one isomorphism class in this process, by
+    (operation, k, params), shared by every labeled graph of the class.  The
+    results are immutable, so every caller can share them.  The bound holds
+    all 1252 classes on at most 7 vertices; past it the least recently used
+    class is dropped."""
+    return {}
 
 
 def _same_betti_tables(I: MonomialIdeal, primes: tuple[int, ...]) -> bool:
@@ -449,9 +410,10 @@ class _GraphState:
 
     A labeled graph builds only its canonical form, the inverse relabeling
     and its case classification, which it has by construction; the closed
-    forms read the labeled graph.  Every oracle runs on the powers of I_c of
-    the canonical form, built on the first memo miss, once per isomorphism
-    class in a process (``_class_memo``), and the labeled graph reads the
+    forms read the labeled graph.  It looks up its class's results
+    (``_class_memo``) once.  Every oracle runs once per class in a process,
+    on the powers of I_c of the canonical form, which a labeled graph builds
+    only on a miss and drops when it is done.  The labeled graph reads each
     result back through the relabeling: numbers and booleans pass
     unchanged, while vertex sets are bitmasks, relabeled through one table
     of every bitmask (``to_labeled``) that is built only when a check reads
@@ -468,6 +430,7 @@ class _GraphState:
         self.canon, perm = canonical_form(g)
         # inverse[perm[i]] == i: canonical vertex j is labeled vertex inverse[j]
         self.inverse = tuple(sorted(range(g.n), key=perm.__getitem__))
+        self._results = _class_memo(self.canon)
         self._powers: list[MonomialIdeal] = []
         self._ass: dict[int, frozenset[int]] = {}
 
@@ -495,9 +458,9 @@ class _GraphState:
     def _memo(self, operation: str, k: int, params: dict, compute, dump=None, load=None):
         """compute(I^k) on the canonical ideal, kept per class and, with a
         cache, on disk as dump(); JSON-ready values need no dump or load."""
-        key = (self.canon, operation, k, tuple(sorted(params.items())))
-        if key in _class_memo:
-            return _class_memo[key]
+        key = (operation, k, tuple(sorted(params.items())))
+        if key in self._results:
+            return self._results[key]
         Ik = self.power(k)
         disk = None if self.cache is None else cache_key(Ik, operation, params)
         hit = None if disk is None else self.cache.get(disk)
@@ -507,9 +470,7 @@ class _GraphState:
             value = compute(Ik)
             if disk is not None:
                 self.cache.put(disk, dump(value) if dump else value)
-        if len(_class_memo) >= _CLASS_MEMO_SIZE:
-            del _class_memo[next(iter(_class_memo))]
-        _class_memo[key] = value
+        self._results[key] = value
         return value
 
     def witnesses(self, k: int) -> tuple[frozenset[int], int]:
@@ -650,16 +611,14 @@ def _check_ass(st: _GraphState, rpt: VerificationReport) -> bool:
 
 
 def _check_persistence(st: _GraphState, rpt: VerificationReport) -> bool:
-    asses = st.asses()
-    for k in range(1, len(asses)):
-        lost = asses[k - 1] - asses[k]
-        if lost:
-            rpt.details["persistence"] = {
-                "violation_k": k,
-                "lost_prime": _fmt_masks(lost, st.g.n)[0],
-            }
-            return False
-    return True
+    loss = _first_loss(st.asses())
+    if loss is not None:
+        k, lost = loss
+        rpt.details["persistence"] = {
+            "violation_k": k,
+            "lost_prime": _fmt_masks(lost, st.g.n)[0],
+        }
+    return loss is None
 
 
 def _check_entry_bound(st: _GraphState, rpt: VerificationReport) -> bool:
@@ -818,14 +777,36 @@ _CHECK_FUNCS = {
 }
 
 
-def normalize_checks(names: Iterable[str]) -> tuple[str, ...]:
-    requested = list(names)
-    if "all" in requested:
-        return ALL_CHECKS
-    unknown = [c for c in requested if c not in _CHECK_FUNCS]
-    if unknown:
-        raise ValueError(f"unknown checks {unknown}; available: {ALL_CHECKS}")
-    return tuple(c for c in ALL_CHECKS if c in requested)
+ALL_CHECKS = tuple(_CHECK_FUNCS)
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """What a sweep checks and under which limits.  ``checks`` may name
+    ``"all"``; it is kept as the selected names in ``ALL_CHECKS`` order."""
+
+    k_max: int = 3
+    checks: tuple[str, ...] = ALL_CHECKS
+    primes: tuple[int, ...] = (2, 3)
+    divisor_limit: int = DEFAULT_DIVISOR_LIMIT
+    lq_limit: int = DEFAULT_QUOTIENTS_LIMIT
+    budget_ms: float | None = None
+    cache_dir: str | None = None
+
+    def __post_init__(self):
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+        if not self.primes:
+            raise ValueError("primes must name at least one characteristic")
+        for p in self.primes:
+            _check_prime(p)
+        if len(set(self.primes)) < len(self.primes):
+            raise ValueError(f"primes {self.primes} repeat a characteristic")
+        unknown = [c for c in self.checks if c != "all" and c not in _CHECK_FUNCS]
+        if unknown:
+            raise ValueError(f"unknown checks {unknown}; available: {ALL_CHECKS}")
+        selected = ALL_CHECKS if "all" in self.checks else [c for c in ALL_CHECKS if c in self.checks]
+        object.__setattr__(self, "checks", tuple(selected))
 
 
 def run_graph_checks(g: Graph, cfg: SweepConfig) -> VerificationReport:
@@ -834,27 +815,22 @@ def run_graph_checks(g: Graph, cfg: SweepConfig) -> VerificationReport:
     the closed forms' hypotheses, n >= 3 and at least one edge."""
     formulas._require_formula_hypotheses(g)
     rpt = VerificationReport(graph=g)
-    budget = _Budget(cfg.budget_ms)
+    start = time.perf_counter()
     cache = DiskCache(cfg.cache_dir) if cfg.cache_dir else None
     st = _GraphState(g, cfg, cache)
-    for name in normalize_checks(cfg.checks):
+    for name in cfg.checks:
         t0 = time.perf_counter()
-        try:
-            budget.check()
-            rpt.summary[name] = _CHECK_FUNCS[name](st, rpt)
-        except _BudgetExceeded:
+        if cfg.budget_ms is not None and (t0 - start) * 1000.0 > cfg.budget_ms:
             rpt.summary[name] = None
             rpt.skipped[name] = f"budget of {cfg.budget_ms} ms exceeded"
-        except LimitExceededError as exc:
-            rpt.summary[name] = None
-            rpt.skipped[name] = f"limit: {exc}"
+        else:
+            try:
+                rpt.summary[name] = _CHECK_FUNCS[name](st, rpt)
+            except LimitExceededError as exc:
+                rpt.summary[name] = None
+                rpt.skipped[name] = f"limit: {exc}"
         rpt.timings_ms[name] = (time.perf_counter() - t0) * 1000.0
     return rpt
-
-
-def _sweep_worker(args: tuple[Graph, SweepConfig]) -> VerificationReport:
-    g, cfg = args
-    return run_graph_checks(g, cfg)
 
 
 def sweep(
@@ -882,7 +858,7 @@ def sweep(
     import multiprocessing as mp
 
     with mp.get_context("fork").Pool(workers) as pool:
-        return list(pool.imap(_sweep_worker, ((g, cfg) for g in graphs), chunksize=8))
+        return list(pool.imap(partial(run_graph_checks, cfg=cfg), graphs, chunksize=8))
 
 
 # ---------------------------------------------------------------------------
@@ -932,10 +908,6 @@ def markdown_summary(reports: list[VerificationReport]) -> str:
 
 
 def sweep_passed(reports: list[VerificationReport]) -> bool:
-    """True iff every non-skipped, non-informational check passed."""
-    return all(
-        outcome is not False
-        for rpt in reports
-        for name, outcome in rpt.summary.items()
-        if name not in _INFORMATIONAL_CHECKS
-    )
+    """True iff every check that was decided passed; a skipped or
+    informational check reads None."""
+    return all(outcome is not False for rpt in reports for outcome in rpt.summary.values())

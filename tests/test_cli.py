@@ -118,6 +118,16 @@ class TestSweep:
             )
             assert code == 2 and out == "" and "characteristic must be a small prime" in err
 
+    def test_repeated_characteristic_is_usage_error(self, capsys):
+        # analyze and betti build the same config, so they refuse it too
+        for command in (
+            ["sweep", "--nmax", "3", "--checks", "betti-field-independence"],
+            ["analyze", "--edges", C4_EDGES],
+            ["betti", "--graph6", "Cl"],
+        ):
+            code, out, err = run(capsys, *command, "--kmax", "1", "--primes", "2,2")
+            assert code == 2 and out == "" and "repeat a characteristic" in err
+
     def test_failing_check_nonzero_exit(self, capsys):
         # the entry-bound corollary fails on the stars, so exit is 1
         code, out, _ = run(

@@ -74,7 +74,7 @@ from compedge.verify import (
 def new_process():
     """Empty the per-process class memo, so that the next call runs as in a
     fresh interpreter, the only place where a disk cache is read."""
-    compedge.verify._class_memo.clear()
+    compedge.verify._class_memo.cache_clear()
 
 
 def I_(text, ambient):
@@ -472,6 +472,18 @@ class TestSweep:
                 assert set(run_graph_checks(copy, cfg).summary.values()) == {True}
             assert scanned == Counter(power(I, k) for k in (1, 2, 3))
 
+    def test_a_labeled_graph_looks_its_class_up_once(self):
+        new_process()
+        g = cycle_graph(4)
+        copy = Graph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+        assert canonical_form(copy)[0] == canonical_form(g)[0]
+        run_graph_checks(g, SweepConfig(k_max=2, checks=("ass",)))
+        run_graph_checks(copy, SweepConfig(k_max=2, checks=("reg", "symbolic")))
+        info = compedge.verify._class_memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert info.maxsize >= 1044  # every class on 7 vertices
+        new_process()
+
     def test_default_lq_limit_covers_the_n4_cubes(self):
         g = complete_graph(4)
         assert len(power(complementary_edge_ideal(g), 3).generators) > 24
@@ -576,6 +588,18 @@ class TestSweep:
     def test_rejects_unknown_check(self):
         with pytest.raises(ValueError):
             sweep(3, SweepConfig(checks=("nope",)))
+
+    def test_checks_are_normalized_at_construction(self):
+        with pytest.raises(ValueError, match="unknown checks"):
+            SweepConfig(checks=("bogus",))
+        assert SweepConfig(checks=("v", "ass")).checks == ("ass", "v")
+        assert SweepConfig(checks=["v", "all"]).checks == SweepConfig().checks
+
+    def test_rejects_a_repeated_characteristic(self):
+        # the field-independence check would compare F_2 with itself
+        for primes in ((2, 2), (3, 2, 3)):
+            with pytest.raises(ValueError, match="repeat a characteristic"):
+                SweepConfig(checks=("betti-field-independence",), primes=primes)
 
     def test_rejects_two_vertex_graph(self):
         # I_c(K_2) is the unit ideal, with no prime colon witness at all
