@@ -50,7 +50,8 @@ class DiskCache:
         try:
             with open(path, "r") as fh:
                 return json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (FileNotFoundError, ValueError):
+            # ValueError covers bytes that are not UTF-8 and text that is not JSON
             return None
 
     def put(self, key: str, value) -> None:

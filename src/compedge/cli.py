@@ -33,7 +33,6 @@ from .ideals import (
 from .resolution import DEFAULT_QUOTIENTS_LIMIT, betti_table, reg_pd_depth
 from .verify import (
     ALL_CHECKS,
-    DEFAULT_DIVISOR_LIMIT,
     SweepConfig,
     markdown_summary,
     run_graph_checks,
@@ -89,9 +88,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kmax", type=int, default=3, help="largest power to inspect")
     sub.add_argument("--primes", default="2,3", help="comma-separated field characteristics")
     sub.add_argument("--out", help="write the report to this path instead of stdout")
-    sub.add_argument("--format", choices=("json", "markdown"), default="markdown")
+
+
+def _add_check_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-ms", type=float, default=None, help="per-graph time budget")
-    sub.add_argument("--divisor-limit", type=int, default=DEFAULT_DIVISOR_LIMIT)
     sub.add_argument("--lq-limit", type=int, default=DEFAULT_QUOTIENTS_LIMIT, help="generator cap for the linear-quotients search")
     sub.add_argument("--cache-dir", default=os.environ.get(ENV_CACHE_DIR), help=f"oracle cache directory (default ${ENV_CACHE_DIR})")
 
@@ -166,7 +166,6 @@ def _sweep_config(args, checks: tuple[str, ...]) -> SweepConfig:
         k_max=args.kmax,
         checks=checks,
         primes=_parse_primes(args.primes),
-        divisor_limit=args.divisor_limit,
         lq_limit=args.lq_limit,
         budget_ms=args.budget_ms,
         cache_dir=args.cache_dir,
@@ -214,7 +213,8 @@ def _read_ideal(args) -> tuple[MonomialIdeal, str]:
 
 
 def cmd_betti(args) -> int:
-    cfg = _sweep_config(args, ())
+    # SweepConfig validates --kmax and --primes
+    cfg = SweepConfig(k_max=args.kmax, checks=(), primes=_parse_primes(args.primes))
     I, label = _read_ideal(args)
     if not I.is_proper:
         raise _CliParseError("betti needs a nonzero, non-unit ideal")
@@ -244,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = subs.add_parser("analyze", help="full report for one graph")
     _add_graph_input_flags(analyze)
     _add_common_flags(analyze)
+    analyze.add_argument("--format", choices=("json", "markdown"), default="markdown")
+    _add_check_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     sweep_p = subs.add_parser("sweep", help="run checks over a labeled census")
@@ -252,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--checks", default="all", help=f"comma list from {', '.join(ALL_CHECKS)} or 'all'")
     sweep_p.add_argument("--workers", type=int, default=1)
     _add_common_flags(sweep_p)
+    _add_check_flags(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep)
 
     betti = subs.add_parser("betti", help="Betti tables of I_c(G)^k or of a JSON ideal")

@@ -146,8 +146,16 @@ class MonomialIdeal:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MonomialIdeal":
-        ambient = int(data["ambient"])
-        gens = [Monomial(tuple(int(e) for e in row)) for row in data["generators"]]
+        """The inverse of :meth:`to_json_dict`.  The ambient and every
+        exponent must be JSON integers; nothing is coerced."""
+
+        def integer(e):
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise ValueError(f"ideal JSON: ambient and exponents must be integers, got {e!r}")
+            return e
+
+        ambient = integer(data["ambient"])
+        gens = [Monomial(tuple(map(integer, row))) for row in data["generators"]]
         for g in gens:
             if g.ambient != ambient:
                 raise ValueError("generator length does not match ambient")
@@ -442,6 +450,8 @@ def prime_power(F: Iterable[int], k: int, ambient: int) -> MonomialIdeal:
     fs = sorted(set(F))
     if not fs:
         raise ValueError("prime needs a nonempty variable set")
+    if fs[0] < 0 or fs[-1] >= ambient:
+        raise ValueError(f"variables {fs} out of range for ambient {ambient}")
     if k < 1:
         raise ValueError("power must be positive")
     return _generated_by(ambient, _monomials_of_degree(fs, k, ambient))

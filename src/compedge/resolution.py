@@ -203,14 +203,14 @@ def _complex_ranks(packed: bytes, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(ranks)
 
 
-def reduced_homology_ranks(
-    C: SimplicialComplex, p: int = DEFAULT_PRIME, ground_limit: int = DEFAULT_GROUND_LIMIT
-) -> dict[int, int]:
-    """Ranks of H~_d over F_p for d = -1 .. dim; zero ranks are omitted."""
+def reduced_homology_ranks(C: SimplicialComplex, p: int = DEFAULT_PRIME) -> dict[int, int]:
+    """Ranks of H~_d over F_p for d = -1 .. dim; zero ranks are omitted.  A
+    ground set of more than ``DEFAULT_GROUND_LIMIT`` vertices raises
+    :class:`LimitExceededError`."""
     _check_prime(p)
-    if len(C.ground) > ground_limit:
+    if len(C.ground) > DEFAULT_GROUND_LIMIT:
         raise LimitExceededError(
-            f"homology limited to ground sets of size <= {ground_limit}"
+            f"homology limited to ground sets of size <= {DEFAULT_GROUND_LIMIT}"
         )
     pos = {v: t for t, v in enumerate(C.ground)}
     flags = np.zeros(1 << len(C.ground), dtype=bool)

@@ -8,7 +8,10 @@ witness is the case F = all variables.  Restricting witnesses to divisors
 of lcm(G(I)) loses nothing: if (I : u) = P then (I : gcd(u, lcm)) = P,
 since exponents of u above the lcm never affect divisibility by a
 generator.  The fuzz suite cross-validates this against the independent
-localization/socle route.
+localization/socle route.  A divisor box of more than
+``DEFAULT_DIVISOR_LIMIT`` cells raises :class:`LimitExceededError`, which the
+sweep records as a skip; the limit is read at call time, so it is one
+process-wide constant and no part of a result or its cache key.
 
 The sweep runs every oracle once per isomorphism class in a process, on
 the powers of I_c of the canonical form (:func:`compedge.graphs.canonical_form`).
@@ -118,7 +121,7 @@ class _Witnesses:
         return VWitness(sum(u), Monomial(u), vertex_set(int(self.masks[best])))
 
 
-def _prime_colon_witnesses(I: MonomialIdeal, divisor_limit: int) -> _Witnesses:
+def _prime_colon_witnesses(I: MonomialIdeal) -> _Witnesses:
     """Scan the divisor box of the generator lcm for prime colon ideals.
 
     (I : u) = P_F exactly when u is not in I, F = {i : x_i u in I} is
@@ -127,7 +130,7 @@ def _prime_colon_witnesses(I: MonomialIdeal, divisor_limit: int) -> _Witnesses:
     membership is read from the divisor-count table alone.
     """
     bound = I.lcm_of_generators()
-    counts = divisor_counts(I, bound, divisor_limit)
+    counts = divisor_counts(I, bound, DEFAULT_DIVISOR_LIMIT)
     member = (counts > 0).reshape(-1)
     strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
     cap = bound.exponents
@@ -145,38 +148,30 @@ def _prime_colon_witnesses(I: MonomialIdeal, divisor_limit: int) -> _Witnesses:
     return _Witnesses(I.ambient, np.stack([c[ok] for c in coords], axis=1), fmask[ok])
 
 
-def ass_oracle(
-    I: MonomialIdeal, divisor_limit: int = DEFAULT_DIVISOR_LIMIT
-) -> set[frozenset[int]]:
+def ass_oracle(I: MonomialIdeal) -> set[frozenset[int]]:
     """Associated primes by exhaustive colon-witness search.
 
     F is reported exactly when (I : u) = P_F for some divisor u of the lcm
     of the minimal generators.
     """
     _require_proper(I)
-    return _prime_colon_witnesses(I, divisor_limit).primes()
+    return _prime_colon_witnesses(I).primes()
 
 
-def depth_zero_oracle(
-    I: MonomialIdeal, divisor_limit: int = DEFAULT_DIVISOR_LIMIT
-) -> tuple[bool, Monomial | None]:
+def depth_zero_oracle(I: MonomialIdeal) -> tuple[bool, Monomial | None]:
     """Socle witness search: some u not in I with x_i u in I for all i.
 
     Such a u exists iff the maximal ideal is associated, i.e. iff the
     quotient has depth zero.  Returns the canonically smallest witness.
     """
     _require_proper(I)
-    best = _prime_colon_witnesses(I, divisor_limit).least((1 << I.ambient) - 1)
+    best = _prime_colon_witnesses(I).least((1 << I.ambient) - 1)
     if best is None:
         return False, None
     return True, best.witness
 
 
-def stable_ass_localization(
-    I: MonomialIdeal,
-    k_max: int,
-    divisor_limit: int = DEFAULT_DIVISOR_LIMIT,
-) -> dict[frozenset[int], int]:
+def stable_ass_localization(I: MonomialIdeal, k_max: int) -> dict[frozenset[int], int]:
     """The primes F with depth S_F/(I(P_F))^k = 0 for some k <= k_max,
     mapped to the least such k.  Independent route to the stable set."""
     _require_proper(I)
@@ -191,37 +186,31 @@ def stable_ass_localization(
             for k in range(1, k_max + 1):
                 if k > 1:
                     Jk = multiply(Jk, J)
-                hit, _ = depth_zero_oracle(Jk, divisor_limit)
+                hit, _ = depth_zero_oracle(Jk)
                 if hit:
                     out[frozenset(combo)] = k
                     break
     return out
 
 
-def v_oracle(
-    I: MonomialIdeal, divisor_limit: int = DEFAULT_DIVISOR_LIMIT
-) -> VWitness:
+def v_oracle(I: MonomialIdeal) -> VWitness:
     """Least degree of a monomial u with (I : u) prime, with the witness.
 
     Ties are broken by the canonical monomial order, so reports are
     reproducible.
     """
     _require_proper(I)
-    best = _prime_colon_witnesses(I, divisor_limit).least()
+    best = _prime_colon_witnesses(I).least()
     if best is None:
         raise ValueError("no prime colon ideal found; is the input proper?")
     return best
 
 
-def local_v_oracle(
-    I: MonomialIdeal,
-    F: Iterable[int],
-    divisor_limit: int = DEFAULT_DIVISOR_LIMIT,
-) -> VWitness:
+def local_v_oracle(I: MonomialIdeal, F: Iterable[int]) -> VWitness:
     """v-number at the fixed prime P_F; errors if F is not associated."""
     _require_proper(I)
     target = frozenset(F)
-    best = _prime_colon_witnesses(I, divisor_limit).least(sum(1 << i for i in target))
+    best = _prime_colon_witnesses(I).least(sum(1 << i for i in target))
     if best is None:
         raise ValueError(
             f"P_{{{','.join(str(i + 1) for i in sorted(target))}}} is not associated"
@@ -257,13 +246,11 @@ def _persistence(asses: list[set[frozenset[int]]]) -> PersistenceResult:
     return PersistenceResult(False, (k, min(lost, key=lambda f: (len(f), sorted(f)))), ass_by_k)
 
 
-def persistence_check(
-    I: MonomialIdeal, k_max: int, divisor_limit: int = DEFAULT_DIVISOR_LIMIT
-) -> PersistenceResult:
+def persistence_check(I: MonomialIdeal, k_max: int) -> PersistenceResult:
     """Verify Ass(I^k) is contained in Ass(I^(k+1)) for k < k_max."""
     _require_proper(I)
     powers = itertools.accumulate(itertools.repeat(I, k_max), multiply)
-    return _persistence([ass_oracle(Ik, divisor_limit) for Ik in powers])
+    return _persistence([ass_oracle(Ik) for Ik in powers])
 
 
 @dataclass(frozen=True)
@@ -272,9 +259,7 @@ class StrongPersistenceResult:
     first_failure: int | None
 
 
-def _colon_exceeds_power(
-    I: MonomialIdeal, Ik: MonomialIdeal, Ik1: MonomialIdeal, divisor_limit: int
-) -> bool:
+def _colon_exceeds_power(I: MonomialIdeal, Ik: MonomialIdeal, Ik1: MonomialIdeal) -> bool:
     """True iff I^(k+1) : I is strictly larger than I^k.
 
     I^k is always contained in the colon, so it is larger exactly when some
@@ -286,8 +271,8 @@ def _colon_exceeds_power(
     """
     bound = np.maximum(Ik.exponents.max(axis=0), Ik1.exponents.max(axis=0)).tolist()
     box = Monomial(tuple(bound))
-    escaped = divisor_counts(Ik, box, divisor_limit) == 0
-    member = divisor_counts(Ik1, box, divisor_limit) > 0
+    escaped = divisor_counts(Ik, box, DEFAULT_DIVISOR_LIMIT) == 0
+    member = divisor_counts(Ik1, box, DEFAULT_DIVISOR_LIMIT) > 0
     padded = np.pad(member, [(0, e) for e in I.exponents.max(axis=0).tolist()], mode="edge")
     for g in I.exponents.tolist():
         escaped &= padded[tuple(slice(e, e + b + 1) for e, b in zip(g, bound))]
@@ -295,11 +280,11 @@ def _colon_exceeds_power(
 
 
 def _strong_persistence(
-    I: MonomialIdeal, powers: Iterable[MonomialIdeal], divisor_limit: int
+    I: MonomialIdeal, powers: Iterable[MonomialIdeal]
 ) -> StrongPersistenceResult:
     """Strong persistence along ``powers``, which yields I, I^2, ..., I^(k_max+1)."""
     for k, (Ik, Ik1) in enumerate(itertools.pairwise(powers), start=1):
-        if _colon_exceeds_power(I, Ik, Ik1, divisor_limit):
+        if _colon_exceeds_power(I, Ik, Ik1):
             return StrongPersistenceResult(False, k)
     return StrongPersistenceResult(True, None)
 
@@ -316,12 +301,10 @@ def strong_persistence_check(
     """
     _require_proper(I)
     powers = itertools.accumulate(itertools.repeat(I, k_max + 1), multiply)
-    return _strong_persistence(I, powers, DEFAULT_DIVISOR_LIMIT)
+    return _strong_persistence(I, powers)
 
 
-def _symbolic_equals_ordinary(
-    I: MonomialIdeal, Ik: MonomialIdeal, k: int, divisor_limit: int
-) -> bool:
+def _symbolic_equals_ordinary(I: MonomialIdeal, Ik: MonomialIdeal, k: int) -> bool:
     """I^(k) = I^k for a proper squarefree I, given Ik = I^k.
 
     x^a lies in I^(k) exactly when the exponents of a sum to at least k
@@ -330,7 +313,7 @@ def _symbolic_equals_ordinary(
     divisor-count table of I^k on that box.
     """
     n = I.ambient
-    ordinary = divisor_counts(Ik, Monomial((k,) * n), divisor_limit) > 0
+    ordinary = divisor_counts(Ik, Monomial((k,) * n), DEFAULT_DIVISOR_LIMIT) > 0
     axes = np.ogrid[(slice(0, k + 1),) * n]
     symbolic = np.ones_like(ordinary)
     for F in minimal_primes_squarefree(I):
@@ -478,13 +461,13 @@ class _GraphState:
         from one scan."""
 
         def compute(Ik):
-            found = _prime_colon_witnesses(Ik, self.cfg.divisor_limit)
+            found = _prime_colon_witnesses(Ik)
             return found.prime_masks(), found.least().v
 
         return self._memo(
             "prime_colon_witnesses",
             k,
-            {"divisor_limit": self.cfg.divisor_limit},
+            {},
             compute,
             lambda value: {"ass": [sorted(vertex_set(F)) for F in value[0]], "v": value[1]},
             lambda data: (frozenset(sum(1 << i for i in F) for F in data["ass"]), data["v"]),
@@ -565,25 +548,19 @@ class _GraphState:
 
     def symbolic(self) -> bool:
         """I^(2) = I^2."""
-        limit = self.cfg.divisor_limit
-        return self._memo(
-            "symbolic",
-            2,
-            {"divisor_limit": limit},
-            lambda I2: _symbolic_equals_ordinary(self.power(1), I2, 2, limit),
-        )
+        return self._memo("symbolic", 2, {}, lambda I2: _symbolic_equals_ordinary(self.power(1), I2, 2))
 
     def strong_persistence(self) -> tuple[bool, int | None]:
         """Whether I^(k+1) : I = I^k for every k <= k_max, and the first k
         where it fails."""
-        k_max, limit = self.cfg.k_max, self.cfg.divisor_limit
+        k_max = self.cfg.k_max
 
         def compute(_):
             powers = (self.power(k) for k in range(1, k_max + 2))
-            res = _strong_persistence(self.power(1), powers, limit)
+            res = _strong_persistence(self.power(1), powers)
             return res.holds, res.first_failure
 
-        return self._memo("strong-persistence", k_max, {"divisor_limit": limit}, compute, list, tuple)
+        return self._memo("strong-persistence", k_max, {}, compute, list, tuple)
 
 
 def _check_ass(st: _GraphState, rpt: VerificationReport) -> bool:
@@ -782,13 +759,15 @@ ALL_CHECKS = tuple(_CHECK_FUNCS)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """What a sweep checks and under which limits.  ``checks`` may name
-    ``"all"``; it is kept as the selected names in ``ALL_CHECKS`` order."""
+    """What a sweep checks: the powers up to ``k_max``, the field
+    characteristics, the generator cap of the linear-quotients search, a
+    per-graph time budget and an optional disk cache.  The box limits are
+    module constants, not fields.  ``checks`` may name ``"all"``; it is kept
+    as the selected names in ``ALL_CHECKS`` order."""
 
     k_max: int = 3
     checks: tuple[str, ...] = ALL_CHECKS
     primes: tuple[int, ...] = (2, 3)
-    divisor_limit: int = DEFAULT_DIVISOR_LIMIT
     lq_limit: int = DEFAULT_QUOTIENTS_LIMIT
     budget_ms: float | None = None
     cache_dir: str | None = None

@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+import compedge.verify
 from compedge.cli import build_parser, main
 from compedge.graphs import cycle_graph, to_graph6
 
@@ -74,12 +76,14 @@ class TestAnalyze:
         )
         assert code == 3
 
-    def test_limit_skips_exit_code(self, capsys):
+    def test_limit_skips_exit_code(self, capsys, monkeypatch):
         # every box-scanning check skips on the divisor limit; the skip
-        # reasons of depth-stable and strong-persistence do not count
-        code, out, _ = run(
-            capsys, "analyze", "--edges", C4_EDGES, "--kmax", "2", "--divisor-limit", "1"
-        )
+        # reasons of depth-stable and strong-persistence do not count.  The
+        # limit is a module constant, so lower it and forget the results
+        # earlier tests memoized for the class
+        monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 1)
+        compedge.verify._class_memo.cache_clear()
+        code, out, _ = run(capsys, "analyze", "--edges", C4_EDGES, "--kmax", "2")
         assert code == 3
         assert "ass: SKIPPED (limit: divisor box has 16 cells, limit 1)" in out
         assert "FAIL" not in out
@@ -138,11 +142,10 @@ class TestSweep:
 
     def test_limit_defaults_are_the_library_constants(self):
         from compedge.resolution import DEFAULT_QUOTIENTS_LIMIT
-        from compedge.verify import DEFAULT_DIVISOR_LIMIT, SweepConfig
+        from compedge.verify import SweepConfig
 
         args = build_parser().parse_args(["sweep", "--nmax", "3"])
         assert args.lq_limit == SweepConfig().lq_limit == DEFAULT_QUOTIENTS_LIMIT
-        assert args.divisor_limit == SweepConfig().divisor_limit == DEFAULT_DIVISOR_LIMIT
 
     def test_census_beyond_limit_is_parse_error(self, capsys):
         code, out, err = run(capsys, "sweep", "--nmax", "7", "--checks", "ass")
@@ -231,8 +234,59 @@ class TestBetti:
             code, out, err = run(capsys, "betti", "--graph6", "Cl", "--kmax", kmax)
             assert code == 2 and out == "" and "k_max" in err
 
+    def test_non_integer_exponent_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "ideal.json"
+        for bad in (1.5, True, "1"):
+            path.write_text(json.dumps({"ambient": 2, "generators": [[bad, 1], [0, 2]]}))
+            code, out, err = run(capsys, "betti", "--ideal-json", str(path), "--kmax", "1")
+            assert code == 2 and out == "" and "must be integers" in err, bad
+
     def test_bad_json_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")
         code, _, err = run(capsys, "betti", "--ideal-json", str(path))
         assert code == 2
+
+
+class TestOptionSurface:
+    """Each subcommand registers exactly the flags it reads."""
+
+    FLAGS = {
+        "analyze": {
+            "--edges", "--graph6", "--file", "--kmax", "--primes", "--out",
+            "--format", "--budget-ms", "--lq-limit", "--cache-dir",
+        },
+        "sweep": {
+            "--nmax", "--nmin", "--checks", "--workers", "--kmax", "--primes",
+            "--out", "--budget-ms", "--lq-limit", "--cache-dir",
+        },
+        "betti": {"--edges", "--graph6", "--file", "--ideal-json", "--kmax", "--primes", "--out"},
+    }
+
+    def test_each_subcommand_has_exactly_its_flags(self):
+        subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(subs.choices) == set(self.FLAGS)
+        for name, sub in subs.choices.items():
+            flags = {s for action in sub._actions for s in action.option_strings}
+            assert flags - {"-h", "--help"} == self.FLAGS[name], name
+        assert {name: len(flags) for name, flags in self.FLAGS.items()} == {
+            "analyze": 10,
+            "sweep": 10,
+            "betti": 7,
+        }
+
+    def test_unread_flags_are_usage_errors(self, capsys, tmp_path):
+        cache = tmp_path / "D"
+        for argv in (
+            ["betti", "--graph6", "Cl", "--kmax", "1", "--format", "json"],
+            ["betti", "--graph6", "Cl", "--kmax", "1", "--budget-ms", "0"],
+            ["betti", "--graph6", "Cl", "--kmax", "1", "--cache-dir", str(cache)],
+            ["sweep", "--nmax", "3", "--format", "json"],
+            ["analyze", "--graph6", "Cl", "--divisor-limit", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out = capsys.readouterr()
+            assert exc.value.code == 2 and out.out == "", argv
+            assert "unrecognized arguments" in out.err, argv
+        assert not cache.exists()

@@ -554,12 +554,26 @@ class TestSymbolicPower:
         P2 = prime_power({0, 2}, 2, 3)
         assert P2 == I_("(x1^2, x1*x3, x3^2)", 3)
 
+    def test_prime_power_rejects_variables_out_of_range(self):
+        # as localize does; these once gave the unit ideal
+        for F, k in (([5], 2), ([0, 7], 1), ([-1, 0], 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                prime_power(F, k, 3)
+
 
 class TestSerialization:
     def test_json_round_trip(self):
         I = complementary_edge_ideal(paw())
         data = json.loads(json.dumps(I.to_json_dict()))
         assert MonomialIdeal.from_json_dict(data) == I
+
+    def test_json_exponents_must_be_integers(self):
+        # int() once turned 1.5 into 1, true into 1 and "1" into 1
+        for bad in (1.5, True, "1", None):
+            with pytest.raises(ValueError, match="must be integers"):
+                MonomialIdeal.from_json_dict({"ambient": 2, "generators": [[bad, 1], [0, 2]]})
+        with pytest.raises(ValueError, match="must be integers"):
+            MonomialIdeal.from_json_dict({"ambient": "2", "generators": [[1, 1]]})
 
     def test_str_forms(self):
         assert str(zero_ideal(2)) == "(0)"

@@ -225,11 +225,17 @@ class TestReducedHomology:
     def test_void_complex(self):
         assert reduced_homology_ranks(simplicial_complex((0, 1), [])) == {}
 
-    def test_ground_limit(self):
+    def test_ground_limit(self, monkeypatch):
         verts = tuple(range(13))
         C = simplicial_complex(verts, [frozenset()] + [frozenset({v}) for v in verts])
         with pytest.raises(LimitExceededError):
             reduced_homology_ranks(C)
+        # the limit is read when called, so lowering it takes effect
+        small = simplicial_complex((0, 1, 2), [(), (0,), (1,), (2,), (1, 2)])
+        assert reduced_homology_ranks(small) == {0: 1}
+        monkeypatch.setattr(compedge.resolution, "DEFAULT_GROUND_LIMIT", 2)
+        with pytest.raises(LimitExceededError, match="size <= 2"):
+            reduced_homology_ranks(small)
 
     def test_boundary_rank_against_sympy(self):
         from sympy import GF, Matrix

@@ -46,7 +46,6 @@ from compedge.resolution import (
     reg_pd_depth,
 )
 from compedge.verify import (
-    DEFAULT_DIVISOR_LIMIT,
     SweepConfig,
     _colon_exceeds_power,
     _GraphState,
@@ -136,10 +135,11 @@ class TestAssOracle:
         with pytest.raises(ValueError):
             ass_oracle(unit_ideal(2))
 
-    def test_divisor_limit(self):
+    def test_divisor_limit(self, monkeypatch):
+        monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 10)
         I = I_("(x1^3*x2^3, x3^3*x4^3)", 4)
         with pytest.raises(LimitExceededError):
-            ass_oracle(I, divisor_limit=10)
+            ass_oracle(I)
 
     def test_squarefree_equals_minimal_primes(self):
         rng = random.Random(21)
@@ -317,7 +317,7 @@ class TestTableColons:
             for k in (1, 2):
                 Ik, Ik1 = powers[k - 1], powers[k]
                 ref = colon_ideal(Ik1, I) != Ik
-                assert _colon_exceeds_power(I, Ik, Ik1, DEFAULT_DIVISOR_LIMIT) == ref, (str(I), k)
+                assert _colon_exceeds_power(I, Ik, Ik1) == ref, (str(I), k)
                 failures += ref
         assert failures >= 6  # the gap family and CLIPPED_GAPS fail at k = 1
 
@@ -329,12 +329,14 @@ class TestTableColons:
             for k in (2, 3):
                 Ik = power(I, k)
                 ref = symbolic_power(I, k) == Ik
-                assert _symbolic_equals_ordinary(I, Ik, k, DEFAULT_DIVISOR_LIMIT) == ref, (str(I), k)
+                assert _symbolic_equals_ordinary(I, Ik, k) == ref, (str(I), k)
                 outcomes[ref] += 1
         assert outcomes[True] and outcomes[False]
 
-    def test_oversized_box_is_a_limit_skip(self):
-        cfg = SweepConfig(k_max=2, checks=("strong-persistence", "symbolic"), divisor_limit=10)
+    def test_oversized_box_is_a_limit_skip(self, monkeypatch):
+        monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 10)
+        new_process()
+        cfg = SweepConfig(k_max=2, checks=("strong-persistence", "symbolic"))
         rpt = run_graph_checks(complete_graph(4), cfg)
         assert rpt.summary == {"symbolic": None, "strong-persistence": None}
         assert all(r.startswith("limit: divisor box") for r in rpt.skipped.values())
@@ -383,7 +385,7 @@ class TestCache:
     def test_round_trip(self, tmp_path):
         cache = DiskCache(tmp_path)
         I = I_("(x1*x2)", 2)
-        key = cache_key(I, "ass_oracle", {"divisor_limit": 100})
+        key = cache_key(I, "ass_oracle", {"lq_limit": 100})
         assert cache.get(key) is None
         cache.put(key, [[0], [1]])
         assert cache.get(key) == [[0], [1]]
@@ -391,10 +393,10 @@ class TestCache:
     def test_key_distinguishes_params_and_ops(self):
         I = I_("(x1*x2)", 2)
         keys = {
-            cache_key(I, "ass_oracle", {"divisor_limit": 100}),
-            cache_key(I, "ass_oracle", {"divisor_limit": 200}),
-            cache_key(I, "reg_pd_depth", {"divisor_limit": 100}),
-            cache_key(I_("(x1)", 2), "ass_oracle", {"divisor_limit": 100}),
+            cache_key(I, "ass_oracle", {"lq_limit": 100}),
+            cache_key(I, "ass_oracle", {"lq_limit": 200}),
+            cache_key(I, "reg_pd_depth", {"lq_limit": 100}),
+            cache_key(I_("(x1)", 2), "ass_oracle", {"lq_limit": 100}),
         }
         assert len(keys) == 4
 
@@ -423,6 +425,19 @@ class TestCache:
         fresh = run_graph_checks(g, cfg)
         assert fresh.per_k == plain.per_k and fresh.summary == plain.summary
         assert len(list(tmp_path.glob("*/*.json"))) == 4
+
+    def test_entry_that_is_not_utf8_is_a_miss(self, tmp_path):
+        g = cycle_graph(4)
+        cfg = SweepConfig(k_max=1, checks=("ass", "v"), cache_dir=str(tmp_path))
+        new_process()
+        plain = run_graph_checks(g, cfg)
+        [entry] = tmp_path.glob("*/*.json")
+        good = entry.read_bytes()
+        entry.write_bytes(b"\xff\xfe{")
+        new_process()
+        served = run_graph_checks(g, cfg)
+        assert served.per_k == plain.per_k and served.summary == plain.summary
+        assert entry.read_bytes() == good  # recomputed and rewritten
 
     def test_sweep_with_cache_matches(self, tmp_path, monkeypatch):
         # every oracle of the sweep writes to and reads from the disk cache
@@ -453,9 +468,9 @@ class TestSweep:
         scanned = Counter()
         scan = compedge.verify._prime_colon_witnesses
 
-        def counting(I, divisor_limit):
+        def counting(I):
             scanned[I] += 1
-            return scan(I, divisor_limit)
+            return scan(I)
 
         monkeypatch.setattr(compedge.verify, "_prime_colon_witnesses", counting)
         cfg = SweepConfig(k_max=3, checks=("ass", "persistence", "v"))
@@ -640,7 +655,7 @@ class TestWitnessKernel:
             for k in (1, 2, 3)
         ]
         for I in ideals:
-            found = _prime_colon_witnesses(I, 10**6)
+            found = _prime_colon_witnesses(I)
             got = {(tuple(u), int(m)) for u, m in zip(found.exps.tolist(), found.masks)}
             ref = colon_prime_scan_reference(I)
             assert got == ref, str(I)
@@ -715,12 +730,12 @@ class TestClassMemo:
         p = cfg.primes[0]
 
         def witnesses():
-            found = _prime_colon_witnesses(Ik, cfg.divisor_limit)
+            found = _prime_colon_witnesses(Ik)
             return found.primes(), found.least().v
 
         def strong_persistence():
             powers = (power(I, j) for j in range(1, cfg.k_max + 2))
-            res = _strong_persistence(I, powers, cfg.divisor_limit)
+            res = _strong_persistence(I, powers)
             return res.holds, res.first_failure
 
         return {
@@ -730,7 +745,7 @@ class TestClassMemo:
                 lambda: (has_linear_quotients(Ik, cfg.lq_limit)[0], is_componentwise_linear(Ik, p))
             ),
             "betti-field-independence": outcome(_same_betti_tables, Ik, cfg.primes),
-            "symbolic": outcome(_symbolic_equals_ordinary, I, power(I, 2), 2, cfg.divisor_limit),
+            "symbolic": outcome(_symbolic_equals_ordinary, I, power(I, 2), 2),
             "strong-persistence": outcome(strong_persistence),
             "localization": _localization_supports(I, np.arange(1, 1 << I.ambient)).tolist(),
         }
@@ -750,7 +765,7 @@ class TestClassMemo:
             "localization": st.localization().tolist(),
         }
 
-    def test_memo_equals_direct_oracles(self, edged_census):
+    def test_memo_equals_direct_oracles(self, edged_census, monkeypatch):
         rng = random.Random(20261018)
         cases = [(g, 3) for n in (3, 4) for g in edged_census[n]]
         cases += [(relabeled(g, rng), 2) for g in rng.sample(edged_census[5], 16)]
@@ -758,18 +773,21 @@ class TestClassMemo:
         cases += [(relabeled(g, rng), 2) for g in rng.sample(n6, 6)]
         cases += [(relabeled(g, rng), 2) for g in (complete_graph(7), cycle_graph(7), path_graph(7))]
         mismatches, limits = [], Counter()
-        for g, k_max in cases:
-            I = complementary_edge_ideal(g)
-            for cfg in (
-                SweepConfig(k_max=k_max),
-                SweepConfig(k_max=k_max, primes=(3, 2), divisor_limit=30, lq_limit=4),
-            ):
+        for tight in (False, True):
+            # the divisor limit is a module constant, so each pass lowers it
+            # or not and starts from an empty class memo
+            if tight:
+                monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 30)
+            new_process()
+            for g, k_max in cases:
+                I = complementary_edge_ideal(g)
+                cfg = SweepConfig(k_max=k_max, primes=(3, 2), lq_limit=4) if tight else SweepConfig(k_max=k_max)
                 st = _GraphState(g, cfg, None)
                 for k in range(1, k_max + 1):
                     want = self.direct(I, k, cfg)
                     got = self.memoized(st, k)
                     limits.update(op for op, value in want.items() if value == "limit")
-                    mismatches += [(str(g), cfg.divisor_limit, op, k) for op in want if got[op] != want[op]]
+                    mismatches += [(str(g), tight, op, k) for op in want if got[op] != want[op]]
         assert mismatches == []
         # the tight limits make each limited oracle raise somewhere
         assert {"witnesses", "linear", "symbolic", "strong-persistence"} <= set(limits)
