@@ -146,16 +146,22 @@ class MonomialIdeal:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MonomialIdeal":
-        """The inverse of :meth:`to_json_dict`.  The ambient and every
-        exponent must be JSON integers; nothing is coerced."""
+        """The inverse of :meth:`to_json_dict`.  ``data`` must be an object
+        with an integer ``ambient`` and ``generators``, a list of lists of
+        integer exponents; nothing is coerced."""
 
         def integer(e):
             if isinstance(e, bool) or not isinstance(e, int):
                 raise ValueError(f"ideal JSON: ambient and exponents must be integers, got {e!r}")
             return e
 
+        if not isinstance(data, dict) or not {"ambient", "generators"} <= data.keys():
+            raise ValueError("ideal JSON: expected an object with keys 'ambient' and 'generators'")
+        rows = data["generators"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("ideal JSON: 'generators' must be a list of exponent lists")
         ambient = integer(data["ambient"])
-        gens = [Monomial(tuple(map(integer, row))) for row in data["generators"]]
+        gens = [Monomial(tuple(map(integer, row))) for row in rows]
         for g in gens:
             if g.ambient != ambient:
                 raise ValueError("generator length does not match ambient")

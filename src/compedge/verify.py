@@ -13,31 +13,27 @@ localization/socle route.  A divisor box of more than
 sweep records as a skip; the limit is read at call time, so it is one
 process-wide constant and no part of a result or its cache key.
 
-The sweep runs every oracle once per isomorphism class in a process, on
-the powers of I_c of the canonical form (:func:`compedge.graphs.canonical_form`).
-A process keeps one record per canonical graph: the results on those
-powers, keyed by the operation, k and its parameters.  The powers
-themselves are built on a miss and dropped with the labeled graph.  The
-optional disk cache keys the same results by the power itself.  Every
-oracle is equivariant under relabeling vertices, so a labeled graph reads
-the class's result back through the relabeling: v, reg, depth and the
-booleans pass unchanged, while vertex sets are bitmasks, relabeled through
-one table of every bitmask of the graph, and the localization table has
-its rows and columns permuted.  The closed forms are still evaluated on
-every labeled graph, the subset ones on bitmasks too, and read its case
-classification from the graph itself; a labeled graph builds its own
-I_c(G) only to report field-dependent Betti tables.  Reports list vertex
-sets by size, then lexicographically.
+The sweep runs every check on the canonical form of the graph's
+isomorphism class (:func:`compedge.graphs.canonical_form`): the oracles, on
+the powers of I_c of the canonical form, once per class in a process, and
+the closed forms.  A process keeps one record per canonical graph: the
+results on those powers, keyed by the operation, k and its parameters.  The
+powers themselves are built on a miss and dropped with the labeled graph.
+The optional disk cache keys the same results by the power itself.  The
+paper's statements are invariant under relabeling vertices, so a labeled
+graph only names the vertex sets its report prints, through one table of
+every bitmask of the graph, and builds its own I_c(G) only to report
+field-dependent Betti tables.  Reports list vertex sets by size, then
+lexicographically.
 
 Strong persistence, I^(k+1) : I = I^k, and the symbolic-power identity
 I^(k) = I^k are decided on the same table, as membership over one box,
 without building the colon ideal or the symbolic power.
 
-The localization check compares two per-graph tables, one row per nonempty
-vertex subset F and one column per support bitmask: the minimal generator
-supports of the localization of I_c(G) at P_F, read off the generators of
-I_c of the canonical form and relabeled, against
-:func:`compedge.formulas.localization_table` of the labeled graph.
+The localization check compares two tables of the canonical form, one row
+per nonempty vertex subset F and one column per support bitmask: the
+minimal generator supports of the localization of I_c at P_F, read off the
+generators of I_c, against :func:`compedge.formulas.localization_table`.
 """
 
 from __future__ import annotations
@@ -366,12 +362,6 @@ def _report_order(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
     return tuple(rank), names
 
 
-def _fmt_masks(masks: Iterable[int], n: int) -> list[list[int]]:
-    """Vertex bitmasks as sorted 1-based lists, in the report order."""
-    rank, names = _report_order(n)
-    return [list(names[m]) for m in sorted(masks, key=rank.__getitem__)]
-
-
 @lru_cache(maxsize=2048)
 def _class_memo(canon: Graph) -> dict[tuple, object]:
     """The oracle results of one isomorphism class in this process, by
@@ -391,44 +381,46 @@ def _same_betti_tables(I: MonomialIdeal, primes: tuple[int, ...]) -> bool:
 class _GraphState:
     """Lazily computed shared state for one sweep graph.
 
-    A labeled graph builds only its canonical form, the inverse relabeling
-    and its case classification, which it has by construction; the closed
-    forms read the labeled graph.  It looks up its class's results
-    (``_class_memo``) once.  Every oracle runs once per class in a process,
-    on the powers of I_c of the canonical form, which a labeled graph builds
-    only on a miss and drops when it is done.  The labeled graph reads each
-    result back through the relabeling: numbers and booleans pass
-    unchanged, while vertex sets are bitmasks, relabeled through one table
-    of every bitmask (``to_labeled``) that is built only when a check reads
-    a vertex set and the relabeling is not the identity.  Each power is
-    scanned for prime colon witnesses once, and its Ass set relabeled once;
-    the Ass, v, persistence and entry-bound checks all read that one result.
+    Every check runs on the canonical form ``canon`` of the graph's
+    isomorphism class, and its case classification ``cls``, which it has by
+    construction.  The oracles run once per class in a process
+    (``_class_memo``), on the powers of I_c of the canonical form, which a
+    labeled graph builds only on a miss and drops when it is done.  The
+    labeled graph only names the vertex sets a report prints: they are
+    bitmasks of the canonical form, mapped through one table of every
+    bitmask (``to_labeled``), built only when a check prints one.  Each
+    power is scanned for prime colon witnesses once; the Ass, v,
+    persistence and entry-bound checks all read that one result.
     """
 
     def __init__(self, g: Graph, cfg: SweepConfig, cache: DiskCache | None):
         self.g = g
         self.cfg = cfg
         self.cache = cache
-        self.cls = CaseClassification(BigDegreeCase.COMPLEMENTARY_EDGE, g.n, graph=g)
         self.canon, perm = canonical_form(g)
+        self.cls = CaseClassification(BigDegreeCase.COMPLEMENTARY_EDGE, g.n, graph=self.canon)
         # inverse[perm[i]] == i: canonical vertex j is labeled vertex inverse[j]
         self.inverse = tuple(sorted(range(g.n), key=perm.__getitem__))
         self._results = _class_memo(self.canon)
         self._powers: list[MonomialIdeal] = []
-        self._ass: dict[int, frozenset[int]] = {}
 
     @cached_property
-    def to_labeled(self) -> list[int] | None:
-        """Entry c is the labeled bitmask of the canonical vertex bitmask c;
-        None when the relabeling is the identity, as it always is above
-        ``DEFAULT_ISO_LIMIT`` vertices."""
+    def to_labeled(self) -> list[int] | range:
+        """Entry c is the labeled bitmask of the canonical vertex bitmask c."""
         if self.inverse == tuple(range(self.g.n)):
-            return None
+            return range(1 << self.g.n)
         table = [0] * (1 << self.g.n)
         for c in range(1, 1 << self.g.n):
             low = c & -c
             table[c] = table[c ^ low] | 1 << self.inverse[low.bit_length() - 1]
         return table
+
+    def names(self, masks: Iterable[int]) -> list[list[int]]:
+        """Canonical vertex bitmasks as the labeled graph's vertex sets,
+        sorted 1-based lists in the report order."""
+        rank, names = _report_order(self.g.n)
+        labeled = map(self.to_labeled.__getitem__, masks)
+        return [list(names[m]) for m in sorted(labeled, key=rank.__getitem__)]
 
     def power(self, k: int) -> MonomialIdeal:
         """The k-th power of I_c of the canonical form."""
@@ -473,22 +465,12 @@ class _GraphState:
             lambda data: (frozenset(sum(1 << i for i in F) for F in data["ass"]), data["v"]),
         )
 
-    def ass(self, k: int) -> frozenset[int]:
-        """Ass(I_c(G)^k) of the labeled graph, as vertex bitmasks."""
-        if k not in self._ass:
-            ass, to_labeled = self.witnesses(k)[0], self.to_labeled
-            self._ass[k] = ass if to_labeled is None else frozenset(map(to_labeled.__getitem__, ass))
-        return self._ass[k]
-
     def asses(self) -> list[frozenset[int]]:
-        return [self.ass(k) for k in range(1, self.cfg.k_max + 1)]
+        return [self.witnesses(k)[0] for k in range(1, self.cfg.k_max + 1)]
 
     def localization(self) -> np.ndarray:
-        """:func:`_localization_supports` of the labeled I_c(G) at every
-        nonempty vertex subset, read off the class's table: row F - 1 and
-        column s of the labeled table are row f(F) - 1 and column f(s) of
-        the canonical one, for f the relabeling of bitmasks onto the
-        canonical form."""
+        """:func:`_localization_supports` of I_c of the canonical form at
+        every nonempty vertex subset."""
         subsets = np.arange(1, 1 << self.g.n)
 
         def load(rows):
@@ -497,7 +479,7 @@ class _GraphState:
                 table[r, cols] = True
             return table
 
-        table = self._memo(
+        return self._memo(
             "localization_supports",
             1,
             {},
@@ -505,10 +487,6 @@ class _GraphState:
             lambda table: [np.flatnonzero(row).tolist() for row in table],
             load,
         )
-        if self.to_labeled is None:
-            return table
-        to_canonical = np.argsort(self.to_labeled)
-        return table[np.ix_(to_canonical[subsets] - 1, to_canonical)]
 
     def invariants(self, k: int) -> HomologicalInvariants:
         p = self.cfg.primes[0]
@@ -564,25 +542,24 @@ class _GraphState:
 
 
 def _check_ass(st: _GraphState, rpt: VerificationReport) -> bool:
-    g, cfg = st.g, st.cfg
     asses = st.asses()
-    first = formulas.ass_first_power_masks(g)
-    stable = formulas.ass_infinity_masks(g)
+    first = formulas.ass_first_power_masks(st.canon)
+    stable = formulas.ass_infinity_masks(st.canon)
     ok = asses[0] == first
-    for k in range(1, cfg.k_max + 1):
+    for k in range(1, st.cfg.k_max + 1):
         entry = rpt.per_k.setdefault(k, {})
-        entry["ass_oracle"] = _fmt_masks(asses[k - 1], g.n)
+        entry["ass_oracle"] = st.names(asses[k - 1])
         if k == 1:
             entry["ass_formula_match"] = asses[0] == first
-        elif k >= g.n - 2:
+        elif k >= st.g.n - 2:
             match = asses[k - 1] == stable
             entry["ass_formula_match"] = match
             ok = ok and match
         else:
             entry["ass_formula_match"] = None
     rpt.details["ass"] = {
-        "first_power_formula": _fmt_masks(first, g.n),
-        "stable_formula": _fmt_masks(stable, g.n),
+        "first_power_formula": st.names(first),
+        "stable_formula": st.names(stable),
     }
     return ok
 
@@ -593,25 +570,27 @@ def _check_persistence(st: _GraphState, rpt: VerificationReport) -> bool:
         k, lost = loss
         rpt.details["persistence"] = {
             "violation_k": k,
-            "lost_prime": _fmt_masks(lost, st.g.n)[0],
+            "lost_prime": st.names(lost)[0],
         }
     return loss is None
 
 
 def _check_entry_bound(st: _GraphState, rpt: VerificationReport) -> bool:
-    stable = formulas.ass_infinity_masks(st.g)
+    stable = formulas.ass_infinity_masks(st.canon)
     asses = st.asses()
     rank, names = _report_order(st.g.n)
+    to_labeled = st.to_labeled
     rows = []
     ok = True
-    for F in sorted(stable, key=rank.__getitem__):
-        if len(names[F]) < 2:
+    for F in sorted(stable, key=lambda F: rank[to_labeled[F]]):
+        prime = names[to_labeled[F]]
+        if len(prime) < 2:
             continue
-        bound = formulas._entry_bound(len(names[F]))
+        bound = formulas._entry_bound(len(prime))
         observed = next(
             (k for k in range(1, st.cfg.k_max + 1) if F in asses[k - 1]), None
         )
-        rows.append({"prime": list(names[F]), "bound": bound, "observed_entry": observed})
+        rows.append({"prime": list(prime), "bound": bound, "observed_entry": observed})
         if bound <= st.cfg.k_max and (observed is None or observed > bound):
             ok = False
     rpt.details["entry-bound"] = rows
@@ -630,10 +609,10 @@ def _localization_supports(I: MonomialIdeal, subsets: np.ndarray) -> np.ndarray:
 
 def _check_localization(st: _GraphState, rpt: VerificationReport) -> bool:
     subsets = np.arange(1, 1 << st.g.n)
-    formula = formulas.localization_table(st.g, subsets)
+    formula = formulas.localization_table(st.canon, subsets)
     bad = subsets[(st.localization() != formula).any(axis=1)]
     if bad.size:
-        rpt.details["localization"] = {"mismatched_subsets": _fmt_masks(bad.tolist(), st.g.n)}
+        rpt.details["localization"] = {"mismatched_subsets": st.names(bad.tolist())}
     return not bad.size
 
 
@@ -675,21 +654,20 @@ def _check_depth_stable(st: _GraphState, rpt: VerificationReport) -> bool | None
 
 
 def _check_v(st: _GraphState, rpt: VerificationReport) -> bool:
-    g = st.g
     ok = True
     for k in range(1, st.cfg.k_max + 1):
         v = st.witnesses(k)[1]
-        predicted = formulas.v_closed_form(g, k)
+        predicted = formulas.v_closed_form(st.canon, k)
         entry = rpt.per_k.setdefault(k, {})
         entry["v_oracle"] = v
         entry["v_formula"] = predicted
-        lower = (g.n - 2) * k - 1
+        lower = (st.g.n - 2) * k - 1
         ok = ok and v == predicted and v >= lower
     return ok
 
 
 def _check_symbolic(st: _GraphState, rpt: VerificationReport) -> bool:
-    predicted = formulas.symbolic_equals_ordinary_class(st.g)
+    predicted = formulas.symbolic_equals_ordinary_class(st.canon)
     actual = st.symbolic()
     rpt.details["symbolic"] = {
         "class_predicate": predicted,
@@ -775,6 +753,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+        if self.lq_limit < 1:
+            raise ValueError(f"lq_limit must be at least 1, got {self.lq_limit}")
+        if self.budget_ms is not None and not self.budget_ms >= 0:  # NaN too
+            raise ValueError(f"budget_ms must be at least 0, got {self.budget_ms}")
         if not self.primes:
             raise ValueError("primes must name at least one characteristic")
         for p in self.primes:
@@ -826,13 +808,15 @@ def sweep(
         raise ValueError("sweep needs n >= 3 (smaller graphs give improper ideals)")
     if n_min > n_max:
         raise ValueError(f"n_min {n_min} exceeds n_max {n_max}: no graphs to check")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     graphs = [
         g
         for n in range(n_min, n_max + 1)
         for g in enumerate_labeled_graphs(n)
         if g.edges
     ]
-    if workers <= 1:
+    if workers == 1:
         return [run_graph_checks(g, cfg) for g in graphs]
     import multiprocessing as mp
 

@@ -157,6 +157,22 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--nmax", "4", "--nmin", "5")
         assert code == 2 and out == "" and "n_min" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--nmax", "3", "--checks", "ass", "--workers", "0"],
+            ["sweep", "--nmax", "3", "--checks", "ass", "--workers", "-2"],
+            ["analyze", "--graph6", "Cl", "--budget-ms", "-1"],
+            ["analyze", "--graph6", "Cl", "--budget-ms", "nan"],
+            ["analyze", "--graph6", "Cl", "--lq-limit", "0"],
+            ["analyze", "--graph6", "Cl", "--lq-limit", "-1"],
+        ],
+    )
+    def test_out_of_range_run_setting_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--kmax", "1")
+        setting = argv[-2].lstrip("-").replace("-", "_")
+        assert code == 2 and out == "" and f"{setting} must be at least" in err
+
     def test_unknown_check_is_parse_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--nmax", "3", "--checks", "bogus")
         assert code == 2
@@ -240,6 +256,16 @@ class TestBetti:
             path.write_text(json.dumps({"ambient": 2, "generators": [[bad, 1], [0, 2]]}))
             code, out, err = run(capsys, "betti", "--ideal-json", str(path), "--kmax", "1")
             assert code == 2 and out == "" and "must be integers" in err, bad
+
+    @pytest.mark.parametrize(
+        "data",
+        [{}, {"ambient": 2}, {"generators": [[1, 0]]}, [1, 2], {"ambient": 2, "generators": 5}, {"ambient": 2, "generators": [5]}],
+    )
+    def test_ideal_json_of_the_wrong_shape_is_parse_error(self, capsys, tmp_path, data):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "betti", "--ideal-json", str(path), "--kmax", "1")
+        assert code == 2 and out == "" and err.startswith("error: ideal JSON"), data
 
     def test_bad_json_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

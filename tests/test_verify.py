@@ -342,6 +342,16 @@ class TestTableColons:
         assert all(r.startswith("limit: divisor box") for r in rpt.skipped.values())
 
 
+def localization_without_a_f(g, masks):
+    """The localization proposition with its x_F/x_i terms dropped."""
+    F = np.asarray(masks).reshape(-1, 1)
+    edges = np.array([1 << i | 1 << j for i, j in g.edges])
+    touched = np.bitwise_or.reduce(edges)
+    supports = np.concatenate([F ^ edges, F], axis=1)
+    present = np.concatenate([(F & edges) == edges, (F & touched) == 0], axis=1)
+    return minimal_supports(supports, present, g.n)
+
+
 class TestLocalizationTables:
     def test_oracle_rows_are_localize_supports(self, localization_graphs):
         for g in localization_graphs:
@@ -356,16 +366,7 @@ class TestLocalizationTables:
                 assert set(np.flatnonzero(row).tolist()) == want, (str(g), fs)
 
     def test_wrong_formula_reports_subsets_by_size_then_lex(self, monkeypatch):
-        def without_a_f(g, masks):
-            # the proposition with its x_F/x_i terms dropped
-            F = np.asarray(masks).reshape(-1, 1)
-            edges = np.array([1 << i | 1 << j for i, j in g.edges])
-            touched = np.bitwise_or.reduce(edges)
-            supports = np.concatenate([F ^ edges, F], axis=1)
-            present = np.concatenate([(F & edges) == edges, (F & touched) == 0], axis=1)
-            return minimal_supports(supports, present, g.n)
-
-        monkeypatch.setattr(compedge.formulas, "localization_table", without_a_f)
+        monkeypatch.setattr(compedge.formulas, "localization_table", localization_without_a_f)
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         rpt = run_graph_checks(star, SweepConfig(checks=("localization",)))
         assert rpt.summary["localization"] is False
@@ -719,11 +720,17 @@ def relabeled(g, rng):
     return Graph.from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges])
 
 
+def printed(vertex_sets):
+    """Vertex sets as a report prints them: 1-based, by size, then
+    lexicographically."""
+    return sorted((sorted(i + 1 for i in F) for F in vertex_sets), key=lambda F: (len(F), F))
+
+
 class TestClassMemo:
-    """Each result a labeled graph reads back from its isomorphism class
-    against the same oracle run directly on the graph's own ideal, under
-    the default limits and then under tight ones that make some oracles
-    raise."""
+    """Each class-level result against the same oracle run directly on I_c
+    of the canonical form, and each Ass set a labeled graph prints against
+    the oracle run directly on the graph's own ideal, under the default
+    limits and then under tight ones that make some oracles raise."""
 
     def direct(self, I, k, cfg):
         Ik = power(I, k)
@@ -752,8 +759,8 @@ class TestClassMemo:
 
     def memoized(self, st, k):
         def witnesses():
-            # the labeled Ass set, as vertex sets, and the class's v
-            return set(map(vertex_set, st.ass(k))), st.witnesses(k)[1]
+            ass, v = st.witnesses(k)
+            return set(map(vertex_set, ass)), v
 
         return {
             "witnesses": outcome(witnesses),
@@ -780,17 +787,69 @@ class TestClassMemo:
                 monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 30)
             new_process()
             for g, k_max in cases:
-                I = complementary_edge_ideal(g)
                 cfg = SweepConfig(k_max=k_max, primes=(3, 2), lq_limit=4) if tight else SweepConfig(k_max=k_max)
                 st = _GraphState(g, cfg, None)
+                canon, labeled = complementary_edge_ideal(st.canon), complementary_edge_ideal(g)
                 for k in range(1, k_max + 1):
-                    want = self.direct(I, k, cfg)
+                    want = self.direct(canon, k, cfg)
                     got = self.memoized(st, k)
+                    want["labeled_ass"] = outcome(lambda: printed(ass_oracle(power(labeled, k))))
+                    got["labeled_ass"] = outcome(lambda: st.names(st.witnesses(k)[0]))
                     limits.update(op for op, value in want.items() if value == "limit")
                     mismatches += [(str(g), tight, op, k) for op in want if got[op] != want[op]]
         assert mismatches == []
         # the tight limits make each limited oracle raise somewhere
-        assert {"witnesses", "linear", "symbolic", "strong-persistence"} <= set(limits)
+        assert {"witnesses", "labeled_ass", "linear", "symbolic", "strong-persistence"} <= set(limits)
+
+    def test_printed_vertex_sets_are_the_labeled_graphs(self, monkeypatch):
+        # a triangle with a pendant at two of its vertices, labeled so that
+        # no printed vertex set reads the same in the canonical labels
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3)])
+        canon = canonical_form(g)[0]
+        assert canon != g
+        I = complementary_edge_ideal(g)
+        asses = [ass_oracle(power(I, k)) for k in (1, 2, 3)]
+        cfg = SweepConfig(k_max=3, checks=("ass", "entry-bound"))
+        new_process()
+        rpt = run_graph_checks(g, cfg)
+        assert run_graph_checks(canon, cfg).details != rpt.details
+        assert [rpt.per_k[k]["ass_oracle"] for k in (1, 2, 3)] == list(map(printed, asses))
+        assert rpt.details["ass"] == {
+            "first_power_formula": printed(compedge.formulas.ass_first_power(g)),
+            "stable_formula": printed(ass_infinity(g).stable_set),
+        }
+        assert rpt.details["entry-bound"] == [
+            {
+                "prime": F,
+                "bound": max(1, len(F) - 2),
+                "observed_entry": next(k for k in (1, 2, 3) if fs(*F) in asses[k - 1]),
+            }
+            for F in printed(ass_infinity(g).stable_set)
+            if len(F) >= 2
+        ]
+
+        # force a persistence loss, every prime on two vertices past the
+        # first power, and a localization mismatch, then name both directly
+        witnesses = _GraphState.witnesses
+
+        def losing(st, k):
+            ass, v = witnesses(st, k)
+            return (ass if k == 1 else frozenset(F for F in ass if F.bit_count() != 2)), v
+
+        monkeypatch.setattr(_GraphState, "witnesses", losing)
+        monkeypatch.setattr(compedge.formulas, "localization_table", localization_without_a_f)
+        rpt = run_graph_checks(g, SweepConfig(k_max=2, checks=("persistence", "localization")))
+        assert rpt.summary == {"persistence": False, "localization": False}
+        assert rpt.details["persistence"] == {
+            "violation_k": 1,
+            "lost_prime": printed(F for F in asses[0] if len(F) == 2)[0],
+        }
+        subsets = np.arange(1, 1 << g.n)
+        bad = (localization_without_a_f(g, subsets) != _localization_supports(I, subsets)).any(axis=1)
+        assert rpt.details["localization"] == {
+            "mismatched_subsets": printed(vertex_set(int(F)) for F in subsets[bad])
+        }
+        new_process()
 
     def test_field_dependence_is_reported_with_the_labeled_tables(self, monkeypatch):
         # no census ideal has field-dependent Betti tables, so force the
