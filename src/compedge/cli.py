@@ -187,12 +187,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    reports = sweep(
-        args.nmax,
-        _sweep_config(args, tuple(args.checks.split(","))),
-        n_min=args.nmin,
-        workers=args.workers,
-    )
+    checks = tuple(args.checks.split(","))
+    reports = sweep(args.nmax, _sweep_config(args, checks), n_min=args.nmin)
     summary = markdown_summary(reports)
     if args.out:
         outdir = Path(args.out)
@@ -252,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--nmax", type=int, required=True)
     sweep_p.add_argument("--nmin", type=int, default=None, help="defaults to --nmax")
     sweep_p.add_argument("--checks", default="all", help=f"comma list from {', '.join(ALL_CHECKS)} or 'all'")
-    sweep_p.add_argument("--workers", type=int, default=1)
     _add_common_flags(sweep_p)
     _add_check_flags(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep)

@@ -290,12 +290,19 @@ def localize(I: MonomialIdeal, F: Iterable[int]) -> MonomialIdeal:
     The result lives in a fresh ambient of size |F|; new variable k stands
     for ``sorted(F)[k]``, the order-preserving index map.
     """
+    fs = _variable_set(F, I.ambient, "localization")
+    return _generated_by(len(fs), I.exponents[:, fs])
+
+
+def _variable_set(F: Iterable[int], ambient: int, what: str) -> list[int]:
+    """The distinct variables of F, sorted; F must be nonempty and lie in
+    range(ambient)."""
     fs = sorted(set(F))
     if not fs:
-        raise ValueError("localization needs a nonempty variable subset")
-    if fs[0] < 0 or fs[-1] >= I.ambient:
-        raise ValueError(f"variables {fs} out of range for ambient {I.ambient}")
-    return _generated_by(len(fs), I.exponents[:, fs])
+        raise ValueError(f"{what} needs a nonempty variable set")
+    if fs[0] < 0 or fs[-1] >= ambient:
+        raise ValueError(f"variables {fs} out of range for ambient {ambient}")
+    return fs
 
 
 def graded_component(I: MonomialIdeal, j: int) -> MonomialIdeal:
@@ -350,10 +357,6 @@ class CaseClassification:
     graph: Graph | None = None
     degree_n1_vars: frozenset[int] = frozenset()
     veronese_degree: int | None = None
-
-    @property
-    def applicable(self) -> bool:
-        return self.case is not BigDegreeCase.NOT_APPLICABLE
 
 
 def _graph_of_omitted_pairs(rows: np.ndarray, n: int) -> Graph:
@@ -453,11 +456,7 @@ def minimal_primes_squarefree(I: MonomialIdeal) -> set[frozenset[int]]:
 
 def prime_power(F: Iterable[int], k: int, ambient: int) -> MonomialIdeal:
     """P_F^k: all monomials of degree k in the variables of F."""
-    fs = sorted(set(F))
-    if not fs:
-        raise ValueError("prime needs a nonempty variable set")
-    if fs[0] < 0 or fs[-1] >= ambient:
-        raise ValueError(f"variables {fs} out of range for ambient {ambient}")
+    fs = _variable_set(F, ambient, "prime")
     if k < 1:
         raise ValueError("power must be positive")
     return _generated_by(ambient, _monomials_of_degree(fs, k, ambient))

@@ -42,7 +42,7 @@ import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -55,6 +55,7 @@ from .ideals import (
     CaseClassification,
     LimitExceededError,
     MonomialIdeal,
+    _variable_set,
     complementary_edge_ideal,
     divisor_counts,
     localize,
@@ -81,6 +82,11 @@ REPORT_SCHEMA_VERSION = 1
 def _require_proper(I: MonomialIdeal) -> None:
     if not I.is_proper:
         raise ValueError("oracle needs a nonzero, non-unit ideal")
+
+
+def _require_k_max(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,7 @@ def stable_ass_localization(I: MonomialIdeal, k_max: int) -> dict[frozenset[int]
     """The primes F with depth S_F/(I(P_F))^k = 0 for some k <= k_max,
     mapped to the least such k.  Independent route to the stable set."""
     _require_proper(I)
+    _require_k_max(k_max)
     out: dict[frozenset[int], int] = {}
     n = I.ambient
     for size in range(1, n + 1):
@@ -203,14 +210,13 @@ def v_oracle(I: MonomialIdeal) -> VWitness:
 
 
 def local_v_oracle(I: MonomialIdeal, F: Iterable[int]) -> VWitness:
-    """v-number at the fixed prime P_F; errors if F is not associated."""
+    """v-number at the fixed prime P_F; errors if F is empty, names a
+    variable outside range(I.ambient) or is not associated."""
     _require_proper(I)
-    target = frozenset(F)
-    best = _prime_colon_witnesses(I).least(sum(1 << i for i in target))
+    fs = _variable_set(F, I.ambient, "local v-number")
+    best = _prime_colon_witnesses(I).least(sum(1 << i for i in fs))
     if best is None:
-        raise ValueError(
-            f"P_{{{','.join(str(i + 1) for i in sorted(target))}}} is not associated"
-        )
+        raise ValueError(f"P_{{{','.join(str(i + 1) for i in fs)}}} is not associated")
     return best
 
 
@@ -245,6 +251,7 @@ def _persistence(asses: list[set[frozenset[int]]]) -> PersistenceResult:
 def persistence_check(I: MonomialIdeal, k_max: int) -> PersistenceResult:
     """Verify Ass(I^k) is contained in Ass(I^(k+1)) for k < k_max."""
     _require_proper(I)
+    _require_k_max(k_max)
     powers = itertools.accumulate(itertools.repeat(I, k_max), multiply)
     return _persistence([ass_oracle(Ik) for Ik in powers])
 
@@ -296,6 +303,7 @@ def strong_persistence_check(
     asserted.
     """
     _require_proper(I)
+    _require_k_max(k_max)
     powers = itertools.accumulate(itertools.repeat(I, k_max + 1), multiply)
     return _strong_persistence(I, powers)
 
@@ -741,7 +749,8 @@ class SweepConfig:
     characteristics, the generator cap of the linear-quotients search, a
     per-graph time budget and an optional disk cache.  The box limits are
     module constants, not fields.  ``checks`` may name ``"all"``; it is kept
-    as the selected names in ``ALL_CHECKS`` order."""
+    as the selected names in ``ALL_CHECKS`` order, and ``primes`` as a tuple,
+    so that a config and the memo keys built from it hash."""
 
     k_max: int = 3
     checks: tuple[str, ...] = ALL_CHECKS
@@ -751,12 +760,12 @@ class SweepConfig:
     cache_dir: str | None = None
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+        _require_k_max(self.k_max)
         if self.lq_limit < 1:
             raise ValueError(f"lq_limit must be at least 1, got {self.lq_limit}")
         if self.budget_ms is not None and not self.budget_ms >= 0:  # NaN too
             raise ValueError(f"budget_ms must be at least 0, got {self.budget_ms}")
+        object.__setattr__(self, "primes", tuple(self.primes))
         if not self.primes:
             raise ValueError("primes must name at least one characteristic")
         for p in self.primes:
@@ -795,33 +804,24 @@ def run_graph_checks(g: Graph, cfg: SweepConfig) -> VerificationReport:
 
 
 def sweep(
-    n_max: int,
-    cfg: SweepConfig | None = None,
-    n_min: int | None = None,
-    workers: int = 1,
+    n_max: int, cfg: SweepConfig | None = None, n_min: int | None = None
 ) -> list[VerificationReport]:
     """Run the selected checks over every labeled graph with at least one
-    edge on n_min..n_max vertices, in deterministic census order."""
+    edge on n_min..n_max vertices, in deterministic census order, one graph
+    after another in this process, so each class's oracles run once."""
     cfg = cfg or SweepConfig()
     n_min = n_max if n_min is None else n_min
     if n_min < 3:
         raise ValueError("sweep needs n >= 3 (smaller graphs give improper ideals)")
     if n_min > n_max:
         raise ValueError(f"n_min {n_min} exceeds n_max {n_max}: no graphs to check")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     graphs = [
         g
         for n in range(n_min, n_max + 1)
         for g in enumerate_labeled_graphs(n)
         if g.edges
     ]
-    if workers == 1:
-        return [run_graph_checks(g, cfg) for g in graphs]
-    import multiprocessing as mp
-
-    with mp.get_context("fork").Pool(workers) as pool:
-        return list(pool.imap(partial(run_graph_checks, cfg=cfg), graphs, chunksize=8))
+    return [run_graph_checks(g, cfg) for g in graphs]
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,6 @@ class TestSweep:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sweep", "--nmax", "3", "--checks", "ass", "--workers", "0"],
-            ["sweep", "--nmax", "3", "--checks", "ass", "--workers", "-2"],
             ["analyze", "--graph6", "Cl", "--budget-ms", "-1"],
             ["analyze", "--graph6", "Cl", "--budget-ms", "nan"],
             ["analyze", "--graph6", "Cl", "--lq-limit", "0"],
@@ -283,7 +281,7 @@ class TestOptionSurface:
             "--format", "--budget-ms", "--lq-limit", "--cache-dir",
         },
         "sweep": {
-            "--nmax", "--nmin", "--checks", "--workers", "--kmax", "--primes",
+            "--nmax", "--nmin", "--checks", "--kmax", "--primes",
             "--out", "--budget-ms", "--lq-limit", "--cache-dir",
         },
         "betti": {"--edges", "--graph6", "--file", "--ideal-json", "--kmax", "--primes", "--out"},
@@ -297,7 +295,7 @@ class TestOptionSurface:
             assert flags - {"-h", "--help"} == self.FLAGS[name], name
         assert {name: len(flags) for name, flags in self.FLAGS.items()} == {
             "analyze": 10,
-            "sweep": 10,
+            "sweep": 9,
             "betti": 7,
         }
 
@@ -308,6 +306,7 @@ class TestOptionSurface:
             ["betti", "--graph6", "Cl", "--kmax", "1", "--budget-ms", "0"],
             ["betti", "--graph6", "Cl", "--kmax", "1", "--cache-dir", str(cache)],
             ["sweep", "--nmax", "3", "--format", "json"],
+            ["sweep", "--nmax", "3", "--workers", "2"],
             ["analyze", "--graph6", "Cl", "--divisor-limit", "1"],
         ):
             with pytest.raises(SystemExit) as exc:

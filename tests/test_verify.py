@@ -235,12 +235,29 @@ class TestVOracle:
         with pytest.raises(ValueError):
             local_v_oracle(I, fs(1, 2))  # not an associated prime
 
+    def test_local_variant_refuses_variables_outside_the_ring(self):
+        I = complementary_edge_ideal(cycle_graph(4))
+        for F in ([-1], [4], [0, 4]):
+            with pytest.raises(ValueError, match="out of range for ambient 4"):
+                local_v_oracle(I, F)
+        with pytest.raises(ValueError, match="nonempty"):
+            local_v_oracle(I, [])
+
     def test_lower_bound_on_sample(self, edged_census):
         rng = random.Random(23)
         for g in rng.sample(edged_census[5], 25):
             I = complementary_edge_ideal(g)
             for k in (1, 2):
                 assert v_oracle(power(I, k)).v >= (g.n - 2) * k - 1
+
+
+def test_checks_up_to_k_max_refuse_k_max_below_one():
+    # each read k_max = 0 as an empty range and passed vacuously
+    I = complementary_edge_ideal(cycle_graph(4))
+    for check in (persistence_check, strong_persistence_check, stable_ass_localization):
+        for k_max in (0, -1):
+            with pytest.raises(ValueError, match="k_max must be at least 1"):
+                check(I, k_max)
 
 
 class TestPersistence:
@@ -549,20 +566,6 @@ class TestSweep:
         }
         assert failing == stars and len(stars) == 4
 
-    def test_workers_give_identical_reports(self):
-        cfg = SweepConfig(k_max=2, checks=("ass", "v"))
-        serial = sweep(4, cfg, workers=1)
-        parallel = sweep(4, cfg, workers=2)
-
-        def strip_timings(rpt):
-            data = rpt.to_json_dict()
-            data.pop("timings_ms")
-            return data
-
-        assert [strip_timings(r) for r in serial] == [
-            strip_timings(r) for r in parallel
-        ]
-
     def test_budget_degrades_to_skips(self):
         cfg = SweepConfig(k_max=3, checks=("ass", "reg", "v"), budget_ms=0.0)
         rpt = run_graph_checks(cycle_graph(4), cfg)
@@ -610,6 +613,14 @@ class TestSweep:
             SweepConfig(checks=("bogus",))
         assert SweepConfig(checks=("v", "ass")).checks == ("ass", "v")
         assert SweepConfig(checks=["v", "all"]).checks == SweepConfig().checks
+
+    def test_primes_given_as_a_list_are_kept_as_a_tuple(self):
+        # a list made the config unhashable and the memo key of the
+        # field-independence check raise TypeError
+        cfg = SweepConfig(k_max=1, checks=("betti-field-independence",), primes=[2, 3])
+        assert cfg.primes == (2, 3) and hash(cfg) == hash(SweepConfig(k_max=1, checks=cfg.checks))
+        rpt = run_graph_checks(cycle_graph(4), cfg)
+        assert rpt.summary == {"betti-field-independence": True}
 
     def test_rejects_a_repeated_characteristic(self):
         # the field-independence check would compare F_2 with itself
