@@ -9,12 +9,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import formulas
-from .cache import ENV_CACHE_DIR
 from .graphs import (
     Graph,
     complement,
@@ -51,13 +49,22 @@ class _CliParseError(Exception):
     pass
 
 
+def _input_source(args) -> str:
+    """The one input flag given, of those the subcommand has: --edges,
+    --graph6, --file and, for betti, --ideal-json."""
+    flags = [f for f in ("edges", "graph6", "file", "ideal_json") if f in vars(args)]
+    given = [f for f in flags if getattr(args, f)]
+    if len(given) != 1:
+        names = ", ".join("--" + f.replace("_", "-") for f in flags)
+        raise _CliParseError(f"provide exactly one of {names}")
+    return given[0]
+
+
 def _read_graph(args) -> Graph:
-    sources = [s for s in (args.edges, args.graph6, args.file) if s]
-    if len(sources) != 1:
-        raise _CliParseError("provide exactly one of --edges, --graph6, --file")
-    if args.graph6:
+    source = _input_source(args)
+    if source == "graph6":
         return from_graph6(args.graph6)
-    if args.edges:
+    if source == "edges":
         text = args.edges.replace("\\n", "\n").replace(";", "\n")
         return parse_edge_list(text)
     text = Path(args.file).read_text()
@@ -93,7 +100,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 def _add_check_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget-ms", type=float, default=None, help="per-graph time budget")
     sub.add_argument("--lq-limit", type=int, default=DEFAULT_QUOTIENTS_LIMIT, help="generator cap for the linear-quotients search")
-    sub.add_argument("--cache-dir", default=os.environ.get(ENV_CACHE_DIR), help=f"oracle cache directory (default ${ENV_CACHE_DIR})")
 
 
 def _render_analyze_markdown(rpt, g: Graph) -> str:
@@ -168,7 +174,6 @@ def _sweep_config(args, checks: tuple[str, ...]) -> SweepConfig:
         primes=_parse_primes(args.primes),
         lq_limit=args.lq_limit,
         budget_ms=args.budget_ms,
-        cache_dir=args.cache_dir,
     )
 
 
@@ -200,7 +205,7 @@ def cmd_sweep(args) -> int:
 
 
 def _read_ideal(args) -> tuple[MonomialIdeal, str]:
-    if args.ideal_json:
+    if _input_source(args) == "ideal_json":
         data = json.loads(Path(args.ideal_json).read_text())
         I = MonomialIdeal.from_json_dict(data)
         return I, f"ideal {I}"

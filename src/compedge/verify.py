@@ -11,15 +11,15 @@ generator.  The fuzz suite cross-validates this against the independent
 localization/socle route.  A divisor box of more than
 ``DEFAULT_DIVISOR_LIMIT`` cells raises :class:`LimitExceededError`, which the
 sweep records as a skip; the limit is read at call time, so it is one
-process-wide constant and no part of a result or its cache key.
+process-wide constant and no part of a result or its memo key.
 
 The sweep runs every check on the canonical form of the graph's
 isomorphism class (:func:`compedge.graphs.canonical_form`): the oracles, on
 the powers of I_c of the canonical form, once per class in a process, and
 the closed forms.  A process keeps one record per canonical graph: the
-results on those powers, keyed by the operation, k and its parameters.  The
-powers themselves are built on a miss and dropped with the labeled graph.
-The optional disk cache keys the same results by the power itself.  The
+results on those powers, keyed by the operation, k and its parameters; it is
+the only result store, and nothing outlives the process.  The powers
+themselves are built on a miss and dropped with the labeled graph.  The
 paper's statements are invariant under relabeling vertices, so a labeled
 graph only names the vertex sets its report prints, through one table of
 every bitmask of the graph, and builds its own I_c(G) only to report
@@ -41,14 +41,13 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
 
 from . import formulas
-from .cache import DiskCache, cache_key
 from .graphs import Graph, canonical_form, enumerate_labeled_graphs, to_graph6, vertex_set
 from .ideals import (
     BigDegreeCase,
@@ -84,9 +83,13 @@ def _require_proper(I: MonomialIdeal) -> None:
         raise ValueError("oracle needs a nonzero, non-unit ideal")
 
 
-def _require_k_max(k_max: int) -> None:
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
+def _require_int(name: str, value, least: int | None = None) -> None:
+    """Refuse a size that is not an int (a bool is refused too) or that is
+    below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,7 @@ def stable_ass_localization(I: MonomialIdeal, k_max: int) -> dict[frozenset[int]
     """The primes F with depth S_F/(I(P_F))^k = 0 for some k <= k_max,
     mapped to the least such k.  Independent route to the stable set."""
     _require_proper(I)
-    _require_k_max(k_max)
+    _require_int("k_max", k_max, 1)
     out: dict[frozenset[int], int] = {}
     n = I.ambient
     for size in range(1, n + 1):
@@ -251,7 +254,7 @@ def _persistence(asses: list[set[frozenset[int]]]) -> PersistenceResult:
 def persistence_check(I: MonomialIdeal, k_max: int) -> PersistenceResult:
     """Verify Ass(I^k) is contained in Ass(I^(k+1)) for k < k_max."""
     _require_proper(I)
-    _require_k_max(k_max)
+    _require_int("k_max", k_max, 1)
     powers = itertools.accumulate(itertools.repeat(I, k_max), multiply)
     return _persistence([ass_oracle(Ik) for Ik in powers])
 
@@ -303,7 +306,7 @@ def strong_persistence_check(
     asserted.
     """
     _require_proper(I)
-    _require_k_max(k_max)
+    _require_int("k_max", k_max, 1)
     powers = itertools.accumulate(itertools.repeat(I, k_max + 1), multiply)
     return _strong_persistence(I, powers)
 
@@ -401,10 +404,9 @@ class _GraphState:
     persistence and entry-bound checks all read that one result.
     """
 
-    def __init__(self, g: Graph, cfg: SweepConfig, cache: DiskCache | None):
+    def __init__(self, g: Graph, cfg: SweepConfig):
         self.g = g
         self.cfg = cfg
-        self.cache = cache
         self.canon, perm = canonical_form(g)
         self.cls = CaseClassification(BigDegreeCase.COMPLEMENTARY_EDGE, g.n, graph=self.canon)
         # inverse[perm[i]] == i: canonical vertex j is labeled vertex inverse[j]
@@ -438,23 +440,12 @@ class _GraphState:
             self._powers.append(multiply(self._powers[-1], self._powers[0]))
         return self._powers[k - 1]
 
-    def _memo(self, operation: str, k: int, params: dict, compute, dump=None, load=None):
-        """compute(I^k) on the canonical ideal, kept per class and, with a
-        cache, on disk as dump(); JSON-ready values need no dump or load."""
+    def _memo(self, operation: str, k: int, params: dict, compute):
+        """compute(I^k) on the canonical ideal, kept per class."""
         key = (operation, k, tuple(sorted(params.items())))
-        if key in self._results:
-            return self._results[key]
-        Ik = self.power(k)
-        disk = None if self.cache is None else cache_key(Ik, operation, params)
-        hit = None if disk is None else self.cache.get(disk)
-        if hit is not None:
-            value = load(hit) if load else hit
-        else:
-            value = compute(Ik)
-            if disk is not None:
-                self.cache.put(disk, dump(value) if dump else value)
-        self._results[key] = value
-        return value
+        if key not in self._results:
+            self._results[key] = compute(self.power(k))
+        return self._results[key]
 
     def witnesses(self, k: int) -> tuple[frozenset[int], int]:
         """Ass(I^k) of the canonical form as vertex bitmasks, and v(I^k),
@@ -464,14 +455,7 @@ class _GraphState:
             found = _prime_colon_witnesses(Ik)
             return found.prime_masks(), found.least().v
 
-        return self._memo(
-            "prime_colon_witnesses",
-            k,
-            {},
-            compute,
-            lambda value: {"ass": [sorted(vertex_set(F)) for F in value[0]], "v": value[1]},
-            lambda data: (frozenset(sum(1 << i for i in F) for F in data["ass"]), data["v"]),
-        )
+        return self._memo("prime_colon_witnesses", k, {}, compute)
 
     def asses(self) -> list[frozenset[int]]:
         return [self.witnesses(k)[0] for k in range(1, self.cfg.k_max + 1)]
@@ -480,32 +464,11 @@ class _GraphState:
         """:func:`_localization_supports` of I_c of the canonical form at
         every nonempty vertex subset."""
         subsets = np.arange(1, 1 << self.g.n)
-
-        def load(rows):
-            table = np.zeros((len(rows), len(rows) + 1), dtype=bool)
-            for r, cols in enumerate(rows):
-                table[r, cols] = True
-            return table
-
-        return self._memo(
-            "localization_supports",
-            1,
-            {},
-            lambda I: _localization_supports(I, subsets),
-            lambda table: [np.flatnonzero(row).tolist() for row in table],
-            load,
-        )
+        return self._memo("localization_supports", 1, {}, lambda I: _localization_supports(I, subsets))
 
     def invariants(self, k: int) -> HomologicalInvariants:
         p = self.cfg.primes[0]
-        return self._memo(
-            "reg_pd_depth",
-            k,
-            {"p": p},
-            lambda Ik: reg_pd_depth(Ik, p),
-            asdict,
-            lambda data: HomologicalInvariants(**data),
-        )
+        return self._memo("reg_pd_depth", k, {"p": p}, lambda Ik: reg_pd_depth(Ik, p))
 
     def linear(self, k: int) -> tuple[bool, bool]:
         """Whether I^k has linear quotients, and whether it is
@@ -519,8 +482,6 @@ class _GraphState:
                 _linear_quotients_order(Ik, limit) is not None,
                 is_componentwise_linear(Ik, p),
             ),
-            list,
-            tuple,
         )
 
     def same_betti_tables(self, k: int) -> bool:
@@ -546,7 +507,7 @@ class _GraphState:
             res = _strong_persistence(self.power(1), powers)
             return res.holds, res.first_failure
 
-        return self._memo("strong-persistence", k_max, {}, compute, list, tuple)
+        return self._memo("strong-persistence", k_max, {}, compute)
 
 
 def _check_ass(st: _GraphState, rpt: VerificationReport) -> bool:
@@ -746,29 +707,32 @@ ALL_CHECKS = tuple(_CHECK_FUNCS)
 @dataclass(frozen=True)
 class SweepConfig:
     """What a sweep checks: the powers up to ``k_max``, the field
-    characteristics, the generator cap of the linear-quotients search, a
-    per-graph time budget and an optional disk cache.  The box limits are
-    module constants, not fields.  ``checks`` may name ``"all"``; it is kept
-    as the selected names in ``ALL_CHECKS`` order, and ``primes`` as a tuple,
-    so that a config and the memo keys built from it hash."""
+    characteristics, the generator cap of the linear-quotients search and a
+    per-graph time budget.  The box limits are module constants, not fields.
+    ``k_max``, ``lq_limit`` and each prime must be an ``int``.  ``checks``
+    may name ``"all"``; it is kept as the selected names in ``ALL_CHECKS``
+    order, and ``primes`` as a tuple, so that a config and the memo keys
+    built from it hash."""
 
     k_max: int = 3
     checks: tuple[str, ...] = ALL_CHECKS
     primes: tuple[int, ...] = (2, 3)
     lq_limit: int = DEFAULT_QUOTIENTS_LIMIT
     budget_ms: float | None = None
-    cache_dir: str | None = None
 
     def __post_init__(self):
-        _require_k_max(self.k_max)
-        if self.lq_limit < 1:
-            raise ValueError(f"lq_limit must be at least 1, got {self.lq_limit}")
+        _require_int("k_max", self.k_max, 1)
+        _require_int("lq_limit", self.lq_limit, 1)
+        for name, value in (("checks", self.checks), ("primes", self.primes)):
+            if isinstance(value, str):
+                raise ValueError(f"{name} must be a sequence, not the string {value!r}")
         if self.budget_ms is not None and not self.budget_ms >= 0:  # NaN too
             raise ValueError(f"budget_ms must be at least 0, got {self.budget_ms}")
         object.__setattr__(self, "primes", tuple(self.primes))
         if not self.primes:
             raise ValueError("primes must name at least one characteristic")
         for p in self.primes:
+            _require_int("primes", p)
             _check_prime(p)
         if len(set(self.primes)) < len(self.primes):
             raise ValueError(f"primes {self.primes} repeat a characteristic")
@@ -786,8 +750,7 @@ def run_graph_checks(g: Graph, cfg: SweepConfig) -> VerificationReport:
     formulas._require_formula_hypotheses(g)
     rpt = VerificationReport(graph=g)
     start = time.perf_counter()
-    cache = DiskCache(cfg.cache_dir) if cfg.cache_dir else None
-    st = _GraphState(g, cfg, cache)
+    st = _GraphState(g, cfg)
     for name in cfg.checks:
         t0 = time.perf_counter()
         if cfg.budget_ms is not None and (t0 - start) * 1000.0 > cfg.budget_ms:
@@ -811,6 +774,8 @@ def sweep(
     after another in this process, so each class's oracles run once."""
     cfg = cfg or SweepConfig()
     n_min = n_max if n_min is None else n_min
+    _require_int("n_max", n_max)
+    _require_int("n_min", n_min)
     if n_min < 3:
         raise ValueError("sweep needs n >= 3 (smaller graphs give improper ideals)")
     if n_min > n_max:

@@ -233,6 +233,21 @@ class TestBetti:
         assert code == 0
         assert "reg = 3" in out  # mixed-degree ideal: reg I = (n-1)k = 3
 
+    def test_requires_exactly_one_input(self, capsys, tmp_path):
+        # an ideal file with a graph beside it printed the file's tables
+        # and dropped the graph without a word
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"ambient": 2, "generators": [[1, 1]]}))
+        for inputs in (
+            [],
+            ["--ideal-json", str(path), "--graph6", "Cl"],
+            ["--ideal-json", str(path), "--graph6", "Cl", "--edges", "3 1;1 2"],
+            ["--graph6", "Cl", "--edges", "3 1;1 2"],
+        ):
+            code, out, err = run(capsys, "betti", *inputs, "--kmax", "1")
+            assert code == 2 and out == "", inputs
+            assert "provide exactly one of --edges, --graph6, --file, --ideal-json" in err, inputs
+
     def test_over_limit_box_is_budget_exit(self, capsys, tmp_path):
         # (x1^9, ..., x7^9): a divisor box of 10^7 cells, over the Betti limit
         path = tmp_path / "ideal.json"
@@ -278,11 +293,11 @@ class TestOptionSurface:
     FLAGS = {
         "analyze": {
             "--edges", "--graph6", "--file", "--kmax", "--primes", "--out",
-            "--format", "--budget-ms", "--lq-limit", "--cache-dir",
+            "--format", "--budget-ms", "--lq-limit",
         },
         "sweep": {
             "--nmax", "--nmin", "--checks", "--kmax", "--primes",
-            "--out", "--budget-ms", "--lq-limit", "--cache-dir",
+            "--out", "--budget-ms", "--lq-limit",
         },
         "betti": {"--edges", "--graph6", "--file", "--ideal-json", "--kmax", "--primes", "--out"},
     }
@@ -294,8 +309,8 @@ class TestOptionSurface:
             flags = {s for action in sub._actions for s in action.option_strings}
             assert flags - {"-h", "--help"} == self.FLAGS[name], name
         assert {name: len(flags) for name, flags in self.FLAGS.items()} == {
-            "analyze": 10,
-            "sweep": 9,
+            "analyze": 9,
+            "sweep": 8,
             "betti": 7,
         }
 
@@ -305,6 +320,8 @@ class TestOptionSurface:
             ["betti", "--graph6", "Cl", "--kmax", "1", "--format", "json"],
             ["betti", "--graph6", "Cl", "--kmax", "1", "--budget-ms", "0"],
             ["betti", "--graph6", "Cl", "--kmax", "1", "--cache-dir", str(cache)],
+            ["analyze", "--graph6", "Cl", "--cache-dir", str(cache)],
+            ["sweep", "--nmax", "3", "--cache-dir", str(cache)],
             ["sweep", "--nmax", "3", "--format", "json"],
             ["sweep", "--nmax", "3", "--workers", "2"],
             ["analyze", "--graph6", "Cl", "--divisor-limit", "1"],

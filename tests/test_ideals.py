@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from compedge.cache import cache_key
 from compedge.graphs import (
     Graph,
     complete_graph,
@@ -246,17 +245,19 @@ class TestRepresentation:
         with pytest.raises(ValueError, match="columns"):
             MonomialIdeal(3, np.zeros(3, dtype=np.int64))
 
-    def test_cache_keys_are_unchanged(self):
+    def test_json_serialization_is_unchanged(self):
+        def text(J):
+            return json.dumps(J.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
         I2 = power(complementary_edge_ideal(cycle_graph(5)), 2)
-        assert cache_key(I2, "prime_colon_witnesses", {"divisor_limit": 1000000}) == (
-            "bb0970e8ea06d3251837c66210a6c9b6c3ae1e35b772074534d45c74a9ca33c3"
+        assert text(I2) == (
+            '{"ambient":5,"generators":[[0,0,2,2,2],[0,1,2,2,1],[0,2,2,2,0],'
+            "[1,0,1,2,2],[1,1,1,1,2],[1,1,1,2,1],[1,1,2,1,1],[1,2,1,1,1],"
+            "[1,2,2,1,0],[2,0,0,2,2],[2,1,0,1,2],[2,1,1,1,1],[2,2,0,0,2],"
+            "[2,2,1,0,1],[2,2,2,0,0]]}"
         )
-        assert cache_key(unit_ideal(3), "x", {}) == (
-            "55abecb4993e04f298ddac3806a758ef75bd78d2d6d125383a1dedcc9b3f6cea"
-        )
-        assert cache_key(zero_ideal(3), "x", {}) == (
-            "ed0c0bafa3b7f1fa6ffab084f6ea3e7b37aa82a2231445d6c6808cc881666951"
-        )
+        assert text(unit_ideal(3)) == '{"ambient":3,"generators":[[0,0,0]]}'
+        assert text(zero_ideal(3)) == '{"ambient":3,"generators":[]}'
 
 
 class TestMembership:

@@ -7,10 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import compedge.cache
 import compedge.formulas
 import compedge.verify
-from compedge.cache import DiskCache, cache_key
 from compedge.formulas import ass_infinity
 from compedge.graphs import (
     Graph,
@@ -72,7 +70,7 @@ from compedge.verify import (
 
 def new_process():
     """Empty the per-process class memo, so that the next call runs as in a
-    fresh interpreter, the only place where a disk cache is read."""
+    fresh interpreter."""
     compedge.verify._class_memo.cache_clear()
 
 
@@ -399,88 +397,6 @@ class TestLocalizationTables:
             assert rpt.summary == {"localization": True, "symbolic": True}, str(g)
 
 
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        I = I_("(x1*x2)", 2)
-        key = cache_key(I, "ass_oracle", {"lq_limit": 100})
-        assert cache.get(key) is None
-        cache.put(key, [[0], [1]])
-        assert cache.get(key) == [[0], [1]]
-
-    def test_key_distinguishes_params_and_ops(self):
-        I = I_("(x1*x2)", 2)
-        keys = {
-            cache_key(I, "ass_oracle", {"lq_limit": 100}),
-            cache_key(I, "ass_oracle", {"lq_limit": 200}),
-            cache_key(I, "reg_pd_depth", {"lq_limit": 100}),
-            cache_key(I_("(x1)", 2), "ass_oracle", {"lq_limit": 100}),
-        }
-        assert len(keys) == 4
-
-    def test_entry_of_an_earlier_oracle_version_is_not_served(self, tmp_path, monkeypatch):
-        g = cycle_graph(4)
-        cfg = SweepConfig(k_max=2, checks=("ass", "v"), cache_dir=str(tmp_path))
-        new_process()
-        plain = run_graph_checks(g, SweepConfig(k_max=2, checks=("ass", "v")))
-        current = compedge.cache.ORACLE_VERSION
-
-        # entries written by the earlier version, then made wrong on purpose
-        monkeypatch.setattr(compedge.cache, "ORACLE_VERSION", current - 1)
-        new_process()
-        run_graph_checks(g, cfg)
-        entries = list(tmp_path.glob("*/*.json"))
-        assert len(entries) == 2
-        stale = {"ass": [[0]], "v": 0}
-        for path in entries:
-            path.write_text(json.dumps(stale))
-        new_process()
-        served = run_graph_checks(g, cfg)
-        assert served.per_k[1]["ass_oracle"] == [[1]]  # the version still sees them
-
-        monkeypatch.setattr(compedge.cache, "ORACLE_VERSION", current)
-        new_process()
-        fresh = run_graph_checks(g, cfg)
-        assert fresh.per_k == plain.per_k and fresh.summary == plain.summary
-        assert len(list(tmp_path.glob("*/*.json"))) == 4
-
-    def test_entry_that_is_not_utf8_is_a_miss(self, tmp_path):
-        g = cycle_graph(4)
-        cfg = SweepConfig(k_max=1, checks=("ass", "v"), cache_dir=str(tmp_path))
-        new_process()
-        plain = run_graph_checks(g, cfg)
-        [entry] = tmp_path.glob("*/*.json")
-        good = entry.read_bytes()
-        entry.write_bytes(b"\xff\xfe{")
-        new_process()
-        served = run_graph_checks(g, cfg)
-        assert served.per_k == plain.per_k and served.summary == plain.summary
-        assert entry.read_bytes() == good  # recomputed and rewritten
-
-    def test_sweep_with_cache_matches(self, tmp_path, monkeypatch):
-        # every oracle of the sweep writes to and reads from the disk cache
-        cfg = SweepConfig(k_max=2, cache_dir=str(tmp_path))
-        plain = SweepConfig(k_max=2)
-        g = cycle_graph(4)
-        assert canonical_form(g)[0] != g  # so the cached tables are relabeled
-        new_process()
-        first = run_graph_checks(g, cfg)
-        new_process()
-
-        def uncached(I, subsets):
-            raise AssertionError("the localization table is in the cache")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(compedge.verify, "_localization_supports", uncached)
-            second = run_graph_checks(g, cfg)  # now served from cache
-        new_process()
-        base = run_graph_checks(g, plain)
-        assert first.summary == second.summary == base.summary
-        assert first.per_k == second.per_k == base.per_k
-        assert first.details == second.details == base.details
-        assert any(tmp_path.iterdir())
-
-
 class TestSweep:
     def test_each_power_is_scanned_once(self, monkeypatch):
         scanned = Counter()
@@ -656,6 +572,33 @@ class TestSweep:
         with pytest.raises(ValueError, match="n_min 5 exceeds n_max 4"):
             sweep(4, SweepConfig(checks=("ass",)), n_min=5)
 
+    @pytest.mark.parametrize(
+        "field, call",
+        [
+            ("k_max", lambda: SweepConfig(k_max=2.5)),
+            ("k_max", lambda: SweepConfig(k_max=True)),
+            ("lq_limit", lambda: SweepConfig(lq_limit=2.5)),
+            ("primes", lambda: SweepConfig(primes=(2.0, 3.0))),
+            ("primes", lambda: SweepConfig(primes=(True,))),
+            ("primes", lambda: SweepConfig(primes="23")),
+            ("checks", lambda: SweepConfig(checks="ass")),
+            ("k_max", lambda: persistence_check(complementary_edge_ideal(cycle_graph(4)), 2.5)),
+            ("k_max", lambda: strong_persistence_check(complementary_edge_ideal(cycle_graph(4)), 2.5)),
+            ("n_max", lambda: sweep(4.0, SweepConfig(checks=("ass",)))),
+            ("n_min", lambda: sweep(4, SweepConfig(checks=("ass",)), n_min=3.0)),
+        ],
+        ids=[
+            "k_max=2.5", "k_max=True", "lq_limit=2.5", "primes=(2.0,3.0)", "primes=(True,)",
+            "primes='23'", "checks='ass'", "persistence_check", "strong_persistence_check",
+            "n_max=4.0", "n_min=3.0",
+        ],
+    )
+    def test_rejects_sizes_that_are_not_integers(self, field, call):
+        # each was accepted, and a float prime raised TypeError inside the
+        # Betti kernels; a string was read one character at a time
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            call()
+
 
 class TestWitnessKernel:
     def test_agrees_with_reference_kernels(self, edged_census, random_ideals):
@@ -799,7 +742,7 @@ class TestClassMemo:
             new_process()
             for g, k_max in cases:
                 cfg = SweepConfig(k_max=k_max, primes=(3, 2), lq_limit=4) if tight else SweepConfig(k_max=k_max)
-                st = _GraphState(g, cfg, None)
+                st = _GraphState(g, cfg)
                 canon, labeled = complementary_edge_ideal(st.canon), complementary_edge_ideal(g)
                 for k in range(1, k_max + 1):
                     want = self.direct(canon, k, cfg)
