@@ -65,15 +65,11 @@ from .monomials import (
 from .resolution import (
     BettiTable,
     HomologicalInvariants,
-    SimplicialComplex,
     betti_table,
     has_linear_quotients,
     has_linear_resolution,
     is_componentwise_linear,
-    reduced_homology_ranks,
     reg_pd_depth,
-    simplicial_complex,
-    upper_koszul,
 )
 from .formulas import (
     AssPrediction,
@@ -81,7 +77,6 @@ from .formulas import (
     ass_infinity,
     depth_and_dstab_closed_form,
     linear_powers_predicate,
-    localization_formula,
     reg_closed_form,
     symbolic_equals_ordinary_class,
     v_closed_form,

@@ -31,14 +31,7 @@ from .graphs import (
     path_graph,
     vertex_set,
 )
-from .ideals import (
-    BigDegreeCase,
-    CaseClassification,
-    MonomialIdeal,
-    ideal,
-    minimal_supports,
-)
-from .monomials import x_of_set
+from .ideals import BigDegreeCase, CaseClassification, minimal_supports
 
 
 def _require_formula_hypotheses(g: Graph) -> None:
@@ -178,22 +171,6 @@ def localization_table(g: Graph, masks) -> np.ndarray:
         [(F & edges) == edges, in_a_f, (F & touched) == 0], axis=1
     )
     return minimal_supports(supports, present, n)
-
-
-def localization_formula(g: Graph, F) -> MonomialIdeal:
-    """Monomial localization of I_c(G) at P_F, from the combinatorial side.
-
-    Row F of :func:`localization_table`, as an ideal in the |F|-variable
-    ring with the order-preserving index map sorted(F).
-    """
-    fs = sorted(set(F))
-    (row,) = localization_table(g, [sum(1 << i for i in fs)])
-    m = len(fs)
-    gens = [
-        x_of_set([pos for pos, i in enumerate(fs) if s >> i & 1], m)
-        for s in np.flatnonzero(row).tolist()
-    ]
-    return ideal(gens, m)
 
 
 def reg_closed_form(cls: CaseClassification, k: int) -> int:

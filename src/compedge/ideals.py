@@ -41,6 +41,15 @@ class LimitExceededError(RuntimeError):
     """A configured search-space or resource limit was exceeded."""
 
 
+def _require_int(name: str, value, least: int | None = None) -> None:
+    """Refuse a size that is not an int (a bool is refused too) or that is
+    below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class MonomialIdeal:
     """A monomial ideal in ``ambient`` variables, canonically presented.

@@ -8,27 +8,28 @@ divisor-count table over the divisor box of the generator lcm
 (:func:`compedge.ideals.divisor_counts`); a box of more than
 ``BOX_CELL_LIMIT`` cells raises :class:`LimitExceededError`.
 
-One kernel gives every Betti invariant.  Per ideal it drops the cones among
-the upper-Koszul complexes and groups the rest by complex (cached for 64
-ideals; this part is field-free), then ranks each distinct complex once per
-characteristic (cached for 2^16 complexes across ideals).  Regularity,
-projective dimension and depth are maxima over the table's arrays, computed
-per characteristic so that field (in)dependence is an observable.
+One kernel gives every Betti invariant, and it is the only code that builds
+or ranks an upper-Koszul complex.  Per ideal, :func:`_complex_classes` drops
+the cones among the complexes and groups the rest by complex (cached for 64
+ideals; this part is field-free); :func:`_complex_ranks` then ranks each
+distinct complex once per characteristic (cached for 2^16 complexes across
+ideals).  The characteristic is an ``int`` among the primes below 100.
+Regularity, projective dimension and depth are maxima over the table's
+arrays, computed per characteristic so that field (in)dependence is an
+observable.  The exact linear-quotients search lives here too.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ideals import LimitExceededError, MonomialIdeal, divisor_counts, graded_component
+from .ideals import LimitExceededError, MonomialIdeal, _require_int, divisor_counts, graded_component
 from .monomials import Monomial
 
 DEFAULT_PRIME = 2
-DEFAULT_GROUND_LIMIT = 12
 DEFAULT_LATTICE_LIMIT = 50_000
 BOX_CELL_LIMIT = 5_000_000
 DEFAULT_QUOTIENTS_LIMIT = 2000
@@ -41,74 +42,12 @@ _SMALL_PRIMES = frozenset(
 
 
 def _check_prime(p: int) -> None:
-    if p not in _SMALL_PRIMES:
-        raise ValueError(f"characteristic must be a small prime, got {p}")
+    if isinstance(p, bool) or not isinstance(p, int) or p not in _SMALL_PRIMES:
+        raise ValueError(f"characteristic must be a small prime, got {p!r}")
 
 
 # ---------------------------------------------------------------------------
-# simplicial complexes and reduced homology
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A downward-closed family of subsets of a ground set of variables.
-
-    The void complex (no faces at all) and the irrelevant complex (only the
-    empty face) are distinct values; the distinction carries H~_{-1}.
-    """
-
-    ground: tuple[int, ...]
-    faces: frozenset[frozenset[int]]
-
-    def __post_init__(self) -> None:
-        gset = set(self.ground)
-        for f in self.faces:
-            if not f <= gset:
-                raise ValueError(f"face {sorted(f)} not inside ground {self.ground}")
-            for v in f:
-                if f - {v} not in self.faces:
-                    raise ValueError("face set is not downward closed")
-
-    @property
-    def is_void(self) -> bool:
-        return len(self.faces) == 0
-
-    @property
-    def is_irrelevant(self) -> bool:
-        return self.faces == frozenset({frozenset()})
-
-    @property
-    def dim(self) -> int:
-        if self.is_void:
-            raise ValueError("the void complex has no dimension")
-        return max(len(f) for f in self.faces) - 1
-
-
-def simplicial_complex(ground: tuple[int, ...], faces) -> SimplicialComplex:
-    return SimplicialComplex(tuple(ground), frozenset(frozenset(f) for f in faces))
-
-
-def upper_koszul(I: MonomialIdeal, a: Monomial) -> SimplicialComplex:
-    """Upper-Koszul complex of I at multidegree a.
-
-    Ground set is supp(a); a squarefree b below it is a face exactly when
-    x^(a-b) lies in I.  Membership is monotone under shrinking b, so the
-    face set is downward closed by construction.
-    """
-    if I.is_zero:
-        raise ValueError("upper-Koszul complex needs a nonzero ideal")
-    if a.ambient != I.ambient:
-        raise ValueError("ambient mismatch")
-    ground = tuple(sorted(a.support))
-    faces = []
-    for r in range(len(ground) + 1):
-        for combo in itertools.combinations(ground, r):
-            exps = list(a.exponents)
-            for i in combo:
-                exps[i] -= 1
-            if Monomial(tuple(exps)) in I:
-                faces.append(frozenset(combo))
-    return SimplicialComplex(ground, frozenset(faces))
+# reduced homology of upper-Koszul complexes
 
 
 def _rank_gf2(rows: list[int]) -> int:
@@ -185,7 +124,8 @@ def _complex_ranks(packed: bytes, p: int) -> tuple[tuple[int, int], ...]:
     """Nonzero reduced homology ranks (d, rank) over F_p of one complex.
 
     ``packed`` is ``np.packbits`` of the complex's face flags: bit m is set
-    when the face with vertex bitmask m is present.
+    when the face with vertex bitmask m is present.  The void complex (no
+    faces) and the irrelevant one (only the empty face) differ in H~_{-1}.
     """
     by_dim: dict[int, list[int]] = {}
     # ascending masks, so the faces of each dimension come sorted
@@ -201,21 +141,6 @@ def _complex_ranks(packed: bytes, p: int) -> tuple[tuple[int, int], ...]:
             ranks.append((d, h))
         rank_up = rank_down
     return tuple(ranks)
-
-
-def reduced_homology_ranks(C: SimplicialComplex, p: int = DEFAULT_PRIME) -> dict[int, int]:
-    """Ranks of H~_d over F_p for d = -1 .. dim; zero ranks are omitted.  A
-    ground set of more than ``DEFAULT_GROUND_LIMIT`` vertices raises
-    :class:`LimitExceededError`."""
-    _check_prime(p)
-    if len(C.ground) > DEFAULT_GROUND_LIMIT:
-        raise LimitExceededError(
-            f"homology limited to ground sets of size <= {DEFAULT_GROUND_LIMIT}"
-        )
-    pos = {v: t for t, v in enumerate(C.ground)}
-    flags = np.zeros(1 << len(C.ground), dtype=bool)
-    flags[[sum(1 << pos[v] for v in f) for f in C.faces]] = True
-    return dict(_complex_ranks(np.packbits(flags).tobytes().rstrip(b"\0"), p))
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +352,7 @@ def _linear_quotients_order(I: MonomialIdeal, limit: int) -> list[int] | None:
     as row indices of ``I.exponents``, or None."""
     if not I.is_proper:
         raise ValueError("linear quotients need a nonzero, non-unit ideal")
+    _require_int("limit", limit, 1)
     m = len(I.exponents)
     if m > limit:
         raise LimitExceededError(f"{m} generators exceeds backtracking limit {limit}")
@@ -502,8 +428,8 @@ def has_linear_quotients(
     Exact backtracking over orders with nondecreasing degrees (an ideal with
     linear quotients always admits such an order), with memoization on the
     set of already-placed generators.  Returns (True, witness order) or
-    (False, None) after exhausting the search.  More than ``limit``
-    generators raises :class:`LimitExceededError`.
+    (False, None) after exhausting the search.  ``limit``, an ``int`` of at
+    least 1, caps the generators; more raise :class:`LimitExceededError`.
     """
     order = _linear_quotients_order(I, limit)
     if order is None:

@@ -54,6 +54,7 @@ from .ideals import (
     CaseClassification,
     LimitExceededError,
     MonomialIdeal,
+    _require_int,
     _variable_set,
     complementary_edge_ideal,
     divisor_counts,
@@ -81,15 +82,6 @@ REPORT_SCHEMA_VERSION = 1
 def _require_proper(I: MonomialIdeal) -> None:
     if not I.is_proper:
         raise ValueError("oracle needs a nonzero, non-unit ideal")
-
-
-def _require_int(name: str, value, least: int | None = None) -> None:
-    """Refuse a size that is not an int (a bool is refused too) or that is
-    below ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -709,7 +701,8 @@ class SweepConfig:
     """What a sweep checks: the powers up to ``k_max``, the field
     characteristics, the generator cap of the linear-quotients search and a
     per-graph time budget.  The box limits are module constants, not fields.
-    ``k_max``, ``lq_limit`` and each prime must be an ``int``.  ``checks``
+    ``k_max``, ``lq_limit`` and each prime must be an ``int``, and
+    ``budget_ms`` ``None`` or a non-negative ``int`` or ``float``.  ``checks``
     may name ``"all"``; it is kept as the selected names in ``ALL_CHECKS``
     order, and ``primes`` as a tuple, so that a config and the memo keys
     built from it hash."""
@@ -726,8 +719,11 @@ class SweepConfig:
         for name, value in (("checks", self.checks), ("primes", self.primes)):
             if isinstance(value, str):
                 raise ValueError(f"{name} must be a sequence, not the string {value!r}")
-        if self.budget_ms is not None and not self.budget_ms >= 0:  # NaN too
-            raise ValueError(f"budget_ms must be at least 0, got {self.budget_ms}")
+        if self.budget_ms is not None:
+            if isinstance(self.budget_ms, bool) or not isinstance(self.budget_ms, (int, float)):
+                raise ValueError(f"budget_ms must be a number, got {self.budget_ms!r}")
+            if not self.budget_ms >= 0:  # NaN too
+                raise ValueError(f"budget_ms must be at least 0, got {self.budget_ms}")
         object.__setattr__(self, "primes", tuple(self.primes))
         if not self.primes:
             raise ValueError("primes must name at least one characteristic")

@@ -12,7 +12,6 @@ from compedge.formulas import (
     ass_infinity_masks,
     depth_and_dstab_closed_form,
     linear_powers_predicate,
-    localization_formula,
     localization_table,
     reg_closed_form,
     symbolic_equals_ordinary_class,
@@ -226,29 +225,39 @@ def original_supports(I, F):
     return {sum(1 << fs[pos] for pos in g.support) for g in I.generators}
 
 
+def table_row(g, F):
+    """Row F of the localization table, as its set of generator-support
+    bitmasks in the original labels."""
+    (row,) = localization_table(g, [mask_of(F)])
+    return set(np.flatnonzero(row).tolist())
+
+
 class TestLocalizationFormula:
     def test_paw(self):
-        got = localization_formula(paw(), [0, 3])
+        # (x1, x4): the generators x1 and x4 in the original labels
+        assert table_row(paw(), [0, 3]) == {0b0001, 0b1000}
+        got = localize(complementary_edge_ideal(paw()), [0, 3])
         assert got == parse_ideal("(x1, x2)", 2)
-        assert got == localize(complementary_edge_ideal(paw()), [0, 3])
+        assert original_supports(got, [0, 3]) == table_row(paw(), [0, 3])
 
     def test_path3_endpoints(self):
-        got = localization_formula(path_graph(3), [0, 2])
-        assert got == parse_ideal("(x1, x2)", 2)
+        assert table_row(path_graph(3), [0, 2]) == {0b001, 0b100}
 
     def test_otherwise_branch(self):
         g = with_isolated(matching_graph(1), 2)  # edge {1,2} + vertices 3,4
-        got = localization_formula(g, [2, 3])
-        assert got == parse_ideal("(x1*x2)", 2)
+        assert table_row(g, [2, 3]) == {0b1100}
 
     def test_matches_direct_localization_on_sample(self, edged_census):
         rng = random.Random(8)
         graphs = edged_census[4] + rng.sample(edged_census[5], 40)
         for g in graphs:
             I = complementary_edge_ideal(g)
-            for size in range(1, g.n + 1):
-                for F in itertools.combinations(range(g.n), size):
-                    assert localization_formula(g, F) == localize(I, F)
+            table = localization_table(g, range(1, 1 << g.n))
+            for mask, row in enumerate(table, start=1):
+                F = [i for i in range(g.n) if mask >> i & 1]
+                J = localize(I, F)
+                assert J.is_squarefree
+                assert set(np.flatnonzero(row).tolist()) == original_supports(J, F)
 
     def test_table_rows_match_reference(self, localization_graphs):
         for g in localization_graphs:
@@ -273,10 +282,6 @@ class TestLocalizationFormula:
             localization_table(g, range(1, 1 << g.n))
 
     def test_guards(self):
-        with pytest.raises(ValueError):
-            localization_formula(paw(), [])
-        with pytest.raises(ValueError):
-            localization_formula(paw(), [0, 4])
         for bad in ([0], [16], [-1]):
             with pytest.raises(ValueError):
                 localization_table(paw(), bad)

@@ -27,15 +27,14 @@ from compedge.monomials import Monomial, parse_monomial, x_of_set
 from compedge.resolution import (
     BOX_CELL_LIMIT,
     _boundary_rank,
+    _complex_classes,
+    _complex_ranks,
     _lcm_lattice,
     betti_table,
     has_linear_quotients,
     has_linear_resolution,
     is_componentwise_linear,
-    reduced_homology_ranks,
     reg_pd_depth,
-    simplicial_complex,
-    upper_koszul,
 )
 
 
@@ -114,49 +113,64 @@ def betti_entries_reference(I, p):
 
 
 def faces_with_closure(maximal):
+    """Face bitmasks of the complex whose faces are the given vertex tuples
+    and all their subsets."""
     out = set()
     for f in maximal:
         for r in range(len(f) + 1):
-            out.update(frozenset(c) for c in itertools.combinations(sorted(f), r))
+            out.update(sum(1 << v for v in c) for c in itertools.combinations(f, r))
     return out
 
 
-class TestSimplicialComplex:
-    def test_void_vs_irrelevant(self):
-        void = simplicial_complex((), [])
-        irrelevant = simplicial_complex((), [frozenset()])
-        assert void.is_void and not void.is_irrelevant
-        assert irrelevant.is_irrelevant and not irrelevant.is_void
-        assert void != irrelevant
+def kernel_ranks(face_masks, p=2):
+    """Reduced homology ranks over F_p of a complex given as face bitmasks,
+    from the Betti kernel's ranker: its key packs the face flags, bit m for
+    the face with bitmask m, and drops trailing zero bytes."""
+    masks = sorted(face_masks)
+    flags = np.zeros(max(masks, default=0) + 1, dtype=bool)
+    flags[masks] = True
+    return dict(_complex_ranks(np.packbits(flags).tobytes().rstrip(b"\0"), p))
 
-    def test_rejects_non_closed(self):
-        with pytest.raises(ValueError):
-            simplicial_complex((0, 1), [frozenset({0, 1})])
 
-    def test_rejects_faces_outside_ground(self):
-        with pytest.raises(ValueError):
-            simplicial_complex((0,), [frozenset(), frozenset({3})])
+def upper_koszul_faces(I, a):
+    """Face bitmasks of the upper-Koszul complex of I at the multidegree a,
+    one membership test per face: a squarefree b below a, with bit t for
+    the t-th variable of supp(a), is a face when x^(a-b) lies in I."""
+    supp = [i for i, e in enumerate(a) if e]
+    faces = set()
+    for m in range(1 << len(supp)):
+        exps = list(a)
+        for t, i in enumerate(supp):
+            exps[i] -= m >> t & 1
+        if I.contains(Monomial(tuple(exps))):
+            faces.add(m)
+    return faces
 
-    def test_dim(self):
-        C = simplicial_complex((0, 1), faces_with_closure([(0, 1)]))
-        assert C.dim == 1
+
+def kernel_faces(I, a):
+    """Face bitmasks of the upper-Koszul complex of I at the lcm-lattice
+    point a as the Betti kernel keys it, or None when it drops a as a cone."""
+    points, classes, inverse = _complex_classes(I)
+    (rows,) = np.nonzero((points == a).all(axis=1))
+    if not rows.size:
+        return None
+    flags = np.unpackbits(np.frombuffer(classes[inverse[rows[0]]], np.uint8))
+    return set(np.flatnonzero(flags).tolist())
 
 
 class TestUpperKoszul:
     def test_at_a_generator_multidegree(self):
         # only b = 0 keeps x^(a-b) inside the ideal, so the complex is {/0}
-        C = upper_koszul(I_("(x1)", 1), Monomial((1,)))
-        assert C.faces == frozenset({frozenset()})
+        I = I_("(x1)", 1)
+        assert kernel_faces(I, (1,)) == upper_koszul_faces(I, (1,)) == {0}
 
     def test_two_variables_hollow_edge(self):
-        C = upper_koszul(I_("(x1, x2)", 2), Monomial((1, 1)))
-        assert C.faces == frozenset(
-            {frozenset(), frozenset({0}), frozenset({1})}
-        )
+        I = I_("(x1, x2)", 2)
+        assert kernel_faces(I, (1, 1)) == upper_koszul_faces(I, (1, 1)) == {0, 1, 2}
 
     def test_principal_degree_two(self):
-        C = upper_koszul(I_("(x1*x2)", 2), Monomial((1, 1)))
-        assert C.faces == frozenset({frozenset()})
+        I = I_("(x1*x2)", 2)
+        assert kernel_faces(I, (1, 1)) == upper_koszul_faces(I, (1, 1)) == {0}
 
     def test_matches_betti_entries(self):
         rng = random.Random(5)
@@ -171,39 +185,32 @@ class TestUpperKoszul:
                 continue
             table = betti_table(I, 3)
             for (i, a), rank in table.entries.items():
-                C = upper_koszul(I, Monomial(a))
-                assert reduced_homology_ranks(C, 3).get(i - 1, 0) == rank
+                faces = upper_koszul_faces(I, a)
+                assert kernel_ranks(faces, 3).get(i - 1, 0) == rank
 
 
 class TestReducedHomology:
     def test_hollow_edge(self):
-        C = simplicial_complex((0, 1), [frozenset(), frozenset({0}), frozenset({1})])
-        assert reduced_homology_ranks(C) == {0: 1}
+        assert kernel_ranks(faces_with_closure([(0,), (1,)])) == {0: 1}
 
     def test_triangle_boundary(self):
-        C = simplicial_complex((0, 1, 2), faces_with_closure([(0, 1), (0, 2), (1, 2)]))
-        assert reduced_homology_ranks(C) == {1: 1}
+        assert kernel_ranks(faces_with_closure([(0, 1), (0, 2), (1, 2)])) == {1: 1}
 
     def test_full_simplex_is_acyclic(self):
-        C = simplicial_complex((0, 1, 2), faces_with_closure([(0, 1, 2)]))
-        assert reduced_homology_ranks(C) == {}
+        assert kernel_ranks(faces_with_closure([(0, 1, 2)])) == {}
 
     def test_irrelevant_complex(self):
-        C = simplicial_complex((), [frozenset()])
-        assert reduced_homology_ranks(C) == {-1: 1}
+        # only the empty face: H~_{-1} has rank 1
+        assert kernel_ranks({0}) == {-1: 1}
 
     def test_sphere_boundaries(self):
         for k in (2, 3, 4):
-            facets = list(itertools.combinations(range(k + 1), k))
-            C = simplicial_complex(tuple(range(k + 1)), faces_with_closure(facets))
-            assert reduced_homology_ranks(C, 2) == {k - 1: 1}
-            assert reduced_homology_ranks(C, 3) == {k - 1: 1}
+            faces = faces_with_closure(itertools.combinations(range(k + 1), k))
+            assert kernel_ranks(faces, 2) == {k - 1: 1}
+            assert kernel_ranks(faces, 3) == {k - 1: 1}
 
     def test_disjoint_points(self):
-        C = simplicial_complex(
-            (0, 1, 2, 3), [frozenset()] + [frozenset({i}) for i in range(4)]
-        )
-        assert reduced_homology_ranks(C) == {0: 3}
+        assert kernel_ranks(faces_with_closure([(i,) for i in range(4)])) == {0: 3}
 
     def test_projective_plane_detects_characteristic(self):
         # 6-vertex triangulation of RP^2: homology has 2-torsion, so the
@@ -212,30 +219,13 @@ class TestReducedHomology:
             (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 5), (0, 4, 5),
             (1, 2, 5), (1, 3, 4), (1, 4, 5), (2, 3, 4), (2, 3, 5),
         ]
-        C = simplicial_complex(tuple(range(6)), faces_with_closure(tris))
-        assert reduced_homology_ranks(C, 2) == {1: 1, 2: 1}
-        assert reduced_homology_ranks(C, 3) == {}
-
-    def test_returned_ranks_are_fresh(self):
-        C = simplicial_complex((0, 1), [frozenset(), frozenset({0}), frozenset({1})])
-        reduced_homology_ranks(C)[0] = 99
-        reduced_homology_ranks(C).clear()
-        assert reduced_homology_ranks(C) == {0: 1}
+        faces = faces_with_closure(tris)
+        assert kernel_ranks(faces, 2) == {1: 1, 2: 1}
+        assert kernel_ranks(faces, 3) == {}
 
     def test_void_complex(self):
-        assert reduced_homology_ranks(simplicial_complex((0, 1), [])) == {}
-
-    def test_ground_limit(self, monkeypatch):
-        verts = tuple(range(13))
-        C = simplicial_complex(verts, [frozenset()] + [frozenset({v}) for v in verts])
-        with pytest.raises(LimitExceededError):
-            reduced_homology_ranks(C)
-        # the limit is read when called, so lowering it takes effect
-        small = simplicial_complex((0, 1, 2), [(), (0,), (1,), (2,), (1, 2)])
-        assert reduced_homology_ranks(small) == {0: 1}
-        monkeypatch.setattr(compedge.resolution, "DEFAULT_GROUND_LIMIT", 2)
-        with pytest.raises(LimitExceededError, match="size <= 2"):
-            reduced_homology_ranks(small)
+        # no faces at all, not even the empty one: no homology
+        assert kernel_ranks(set()) == {}
 
     def test_boundary_rank_against_sympy(self):
         from sympy import GF, Matrix
@@ -313,6 +303,16 @@ class TestBettiTable:
         with pytest.raises(ValueError):
             betti_table(unit_ideal(2))
 
+    def test_rejects_characteristics_that_are_not_int_primes(self):
+        # 2.0 gave a table whose JSON said "characteristic": 2.0, and 3.0
+        # raised TypeError from pow() inside the rank kernel
+        I = complementary_edge_ideal(path_graph(4))
+        calls = (betti_table, reg_pd_depth, has_linear_resolution, is_componentwise_linear)
+        for p in (2.0, 3.0, True, "3", 4):
+            for call in calls:
+                with pytest.raises(ValueError, match="characteristic must be a small prime"):
+                    call(I, p)
+
     def test_over_cap_box_raises(self):
         # lcm x1^9...x7^9 spans 10^7 divisor cells, over BOX_CELL_LIMIT
         I = ideal([Monomial(tuple(9 * (i == j) for j in range(7))) for i in range(7)], 7)
@@ -367,10 +367,10 @@ class TestBettiTable:
     def test_acyclic_non_cone_carries_no_betti_number(self):
         # at (1,1,1,1) the complex is the path 3-0-1-2: not a cone, yet acyclic
         I = I_("(x1*x4, x2*x3, x3*x4)", 4)
-        C = upper_koszul(I, Monomial((1, 1, 1, 1)))
-        assert not _is_cone(
-            frozenset(sum(1 << v for v in f) for f in C.faces), 0b1111
-        )
+        faces = faces_with_closure([(0, 1), (1, 2), (0, 3)])
+        assert upper_koszul_faces(I, (1, 1, 1, 1)) == faces
+        assert not _is_cone(frozenset(faces), 0b1111)
+        assert kernel_ranks(faces, 2) == kernel_ranks(faces, 3) == {}
         for p in (2, 3):
             t = betti_table(I, p)
             assert all(a != (1, 1, 1, 1) for _, a in t.entries)
@@ -463,6 +463,14 @@ class TestLinearQuotients:
         I = power(complementary_edge_ideal(complete_graph(4)), 2)
         with pytest.raises(LimitExceededError):
             has_linear_quotients(I, limit=3)
+
+    def test_limit_must_be_a_positive_int(self):
+        # the same rule as SweepConfig.lq_limit; each of these was read as a
+        # generator cap and raised LimitExceededError
+        I = complementary_edge_ideal(path_graph(4))
+        for limit in (0, -3, True, 2.5):
+            with pytest.raises(ValueError, match="^limit must be"):
+                has_linear_quotients(I, limit)
 
     def test_orders_deeper_than_the_recursion_limit(self):
         # every degree-17 monomial in 4 variables: 1140 generators, polymatroidal

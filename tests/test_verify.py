@@ -578,6 +578,8 @@ class TestSweep:
             ("k_max", lambda: SweepConfig(k_max=2.5)),
             ("k_max", lambda: SweepConfig(k_max=True)),
             ("lq_limit", lambda: SweepConfig(lq_limit=2.5)),
+            ("budget_ms", lambda: SweepConfig(budget_ms=True)),
+            ("budget_ms", lambda: SweepConfig(budget_ms="5")),
             ("primes", lambda: SweepConfig(primes=(2.0, 3.0))),
             ("primes", lambda: SweepConfig(primes=(True,))),
             ("primes", lambda: SweepConfig(primes="23")),
@@ -588,14 +590,16 @@ class TestSweep:
             ("n_min", lambda: sweep(4, SweepConfig(checks=("ass",)), n_min=3.0)),
         ],
         ids=[
-            "k_max=2.5", "k_max=True", "lq_limit=2.5", "primes=(2.0,3.0)", "primes=(True,)",
+            "k_max=2.5", "k_max=True", "lq_limit=2.5", "budget_ms=True", "budget_ms='5'",
+            "primes=(2.0,3.0)", "primes=(True,)",
             "primes='23'", "checks='ass'", "persistence_check", "strong_persistence_check",
             "n_max=4.0", "n_min=3.0",
         ],
     )
     def test_rejects_sizes_that_are_not_integers(self, field, call):
-        # each was accepted, and a float prime raised TypeError inside the
-        # Betti kernels; a string was read one character at a time
+        # each was accepted (budget_ms=True as a 1 ms budget), and a float
+        # prime or a string budget raised TypeError; a string was read one
+        # character at a time
         with pytest.raises(ValueError, match=f"^{field} must"):
             call()
 
