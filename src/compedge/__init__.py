@@ -88,7 +88,6 @@ from .verify import (
     VerificationReport,
     ass_oracle,
     depth_zero_oracle,
-    local_v_oracle,
     markdown_summary,
     persistence_check,
     run_graph_checks,

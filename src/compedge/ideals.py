@@ -491,6 +491,16 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
 # the divisor-count table, read by every box-scanning oracle
 
 
+def _box_shape(bound: Monomial, cell_limit: int | None) -> tuple[int, ...]:
+    """The shape of the divisor box of ``bound``; a box of more than
+    ``cell_limit`` cells raises :class:`LimitExceededError`."""
+    shape = tuple(e + 1 for e in bound.exponents)
+    cells = math.prod(shape)
+    if cell_limit is not None and cells > cell_limit:
+        raise LimitExceededError(f"divisor box has {cells} cells, limit {cell_limit}")
+    return shape
+
+
 def divisor_counts(
     I: MonomialIdeal, bound: Monomial, cell_limit: int | None = None
 ) -> np.ndarray:
@@ -506,10 +516,7 @@ def divisor_counts(
     """
     if bound.ambient != I.ambient:
         raise ValueError("ambient mismatch")
-    shape = tuple(e + 1 for e in bound.exponents)
-    cells = math.prod(shape)
-    if cell_limit is not None and cells > cell_limit:
-        raise LimitExceededError(f"divisor box has {cells} cells, limit {cell_limit}")
+    shape = _box_shape(bound, cell_limit)
     # no cell counts more than every generator
     dtype = np.min_scalar_type(len(I.exponents))
     counts = np.zeros(shape, dtype=dtype)

@@ -13,10 +13,13 @@ or ranks an upper-Koszul complex.  Per ideal, :func:`_complex_classes` drops
 the cones among the complexes and groups the rest by complex (cached for 64
 ideals; this part is field-free); :func:`_complex_ranks` then ranks each
 distinct complex once per characteristic (cached for 2^16 complexes across
-ideals).  The characteristic is an ``int`` among the primes below 100.
-Regularity, projective dimension and depth are maxima over the table's
-arrays, computed per characteristic so that field (in)dependence is an
-observable.  The exact linear-quotients search lives here too.
+ideals).  Both limits are read at call time and checked before the ideal
+cache is looked up: the box against the lcm, the lattice against the point
+count the cache keeps.  Complexes are grouped by their packed face flags,
+one ``np.void`` key per row.  The characteristic is an ``int`` among the
+primes below 100.  Regularity, projective dimension and depth are maxima
+over the table's arrays, computed per characteristic so that field
+(in)dependence is an observable.  The exact linear-quotients search lives here too.
 """
 
 from __future__ import annotations
@@ -26,7 +29,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ideals import LimitExceededError, MonomialIdeal, _require_int, divisor_counts, graded_component
+from .ideals import (
+    LimitExceededError,
+    MonomialIdeal,
+    _box_shape,
+    _require_int,
+    divisor_counts,
+    graded_component,
+)
 from .monomials import Monomial
 
 DEFAULT_PRIME = 2
@@ -235,21 +245,31 @@ def _lcm_lattice(counts: np.ndarray) -> np.ndarray:
         up[axis], down[axis] = slice(1, None), slice(None, -1)
         keep[tuple(up)] &= counts[tuple(up)] > counts[tuple(down)]
     points = np.argwhere(keep)
-    if points.shape[0] > DEFAULT_LATTICE_LIMIT:
-        raise LimitExceededError(
-            f"lcm lattice has {points.shape[0]} points, limit {DEFAULT_LATTICE_LIMIT}"
-        )
+    _require_lattice(len(points))
     return points
 
 
-@lru_cache(maxsize=64)
+def _require_lattice(points: int) -> None:
+    if points > DEFAULT_LATTICE_LIMIT:
+        raise LimitExceededError(f"lcm lattice has {points} points, limit {DEFAULT_LATTICE_LIMIT}")
+
+
 def _complex_classes(I: MonomialIdeal) -> tuple[np.ndarray, tuple[bytes, ...], np.ndarray]:
     """The lcm-lattice points of I whose upper-Koszul complex is not a cone
     (cones are acyclic), in lexicographic order; the distinct complexes among
     them, as :func:`_complex_ranks` keys; and per point its complex's index.
     Nothing here depends on the field.
     """
-    counts = divisor_counts(I, I.lcm_of_generators(), BOX_CELL_LIMIT)
+    _box_shape(I.lcm_of_generators(), BOX_CELL_LIMIT)
+    lattice_points, points, classes, inverse = _classify_complexes(I)
+    _require_lattice(lattice_points)
+    return points, classes, inverse
+
+
+@lru_cache(maxsize=64)
+def _classify_complexes(I: MonomialIdeal) -> tuple[int, np.ndarray, tuple[bytes, ...], np.ndarray]:
+    """:func:`_complex_classes`, after the size of the whole lcm lattice."""
+    counts = divisor_counts(I, I.lcm_of_generators())
     lattice = _lcm_lattice(counts)
     member = (counts > 0).reshape(-1)
     strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
@@ -257,7 +277,7 @@ def _complex_classes(I: MonomialIdeal) -> tuple[np.ndarray, tuple[bytes, ...], n
     cone = np.zeros(len(lattice), dtype=bool)
     # packed face flags, all of one width; keys drop the trailing zero bytes
     packed = np.zeros((len(lattice), max(1, (1 << int(sizes.max())) // 8)), dtype=np.uint8)
-    for g in np.unique(sizes).tolist():
+    for g in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == g)
         supp = np.nonzero(lattice[rows])[1].reshape(-1, g)
         masks = np.arange(1 << g)
@@ -271,9 +291,12 @@ def _complex_classes(I: MonomialIdeal) -> tuple[np.ndarray, tuple[bytes, ...], n
                 f = masks[(masks >> t & 1) == 0]
                 cone[r] |= (flags[:, f] <= flags[:, f | 1 << t]).all(axis=1)
             packed[r, : max(1, (1 << g) // 8)] = np.packbits(flags, axis=1)
-    unique, inverse = np.unique(packed[~cone], axis=0, return_inverse=True)
-    classes = tuple(row.tobytes().rstrip(b"\0") for row in unique)
-    return lattice[~cone], classes, inverse.reshape(-1)
+    # one void per row sorts as its bytes, as rows of uint8 do
+    rows = packed[~cone]
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).reshape(-1)
+    unique, inverse = np.unique(keys, return_inverse=True)
+    classes = tuple(key.tobytes().rstrip(b"\0") for key in unique)
+    return len(lattice), lattice[~cone], classes, inverse
 
 
 def betti_table(I: MonomialIdeal, p: int = DEFAULT_PRIME) -> BettiTable:

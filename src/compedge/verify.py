@@ -7,11 +7,15 @@ divisor-count table of :func:`compedge.ideals.divisor_counts`; a socle
 witness is the case F = all variables.  Restricting witnesses to divisors
 of lcm(G(I)) loses nothing: if (I : u) = P then (I : gcd(u, lcm)) = P,
 since exponents of u above the lcm never affect divisibility by a
-generator.  The fuzz suite cross-validates this against the independent
-localization/socle route.  A divisor box of more than
+generator.  Only the degree slab deg u >= indeg(I) - 1 can hold a
+witness, since x_i u lies in I for some i.  The fuzz suite cross-validates
+this against the independent localization/socle route.  The scan runs once
+per ideal in a process: Ass, v and depth zero of one ideal, from any caller,
+read one memoized result.  A divisor box of more than
 ``DEFAULT_DIVISOR_LIMIT`` cells raises :class:`LimitExceededError`, which the
-sweep records as a skip; the limit is read at call time, so it is one
-process-wide constant and no part of a result or its memo key.
+sweep records as a skip; the limit is read at call time and checked against
+the lcm box before the memo is looked up, so it is one process-wide
+constant and no part of a result or its memo key.
 
 The sweep runs every check on the canonical form of the graph's
 isomorphism class (:func:`compedge.graphs.canonical_form`): the oracles, on
@@ -54,8 +58,8 @@ from .ideals import (
     CaseClassification,
     LimitExceededError,
     MonomialIdeal,
+    _box_shape,
     _require_int,
-    _variable_set,
     complementary_edge_ideal,
     divisor_counts,
     localize,
@@ -94,14 +98,19 @@ class VWitness:
 @dataclass(frozen=True)
 class _Witnesses:
     """Every divisor u of the generator lcm with (I : u) = P_F, as rows of
-    ``exps``, and the bitmask of its F in ``masks``."""
+    ``exps``, and the bitmask of its F in ``masks``.  Both arrays are
+    read-only, since the memoized scan hands the same ones to every caller."""
 
     ambient: int
     exps: np.ndarray
     masks: np.ndarray
 
+    def __post_init__(self):
+        self.exps.flags.writeable = False
+        self.masks.flags.writeable = False
+
     def prime_masks(self) -> frozenset[int]:
-        return frozenset(np.unique(self.masks).tolist())
+        return frozenset(self.masks.tolist())
 
     def primes(self) -> set[frozenset[int]]:
         return set(map(vertex_set, self.prime_masks()))
@@ -124,14 +133,28 @@ def _prime_colon_witnesses(I: MonomialIdeal) -> _Witnesses:
     (I : u) = P_F exactly when u is not in I, F = {i : x_i u in I} is
     nonempty, and u with every exponent outside F raised to the lcm's is
     still not in I.  A step past the lcm in coordinate i never enters I, so
-    membership is read from the divisor-count table alone.
+    membership is read from the divisor-count table alone.  Some x_i u lies
+    in I, so deg u >= indeg(I) - 1: only the non-member cells of that degree
+    slab are candidates.  The steps read from a candidate, u + e_i and the
+    raised u, never lower its degree.
+
+    The scan runs once per ideal in a process, memoized for 64 ideals.
+    ``DEFAULT_DIVISOR_LIMIT`` is checked against the lcm box on every call,
+    before the memo is looked up.
     """
+    _box_shape(I.lcm_of_generators(), DEFAULT_DIVISOR_LIMIT)
+    return _scan_witnesses(I)
+
+
+@lru_cache(maxsize=64)
+def _scan_witnesses(I: MonomialIdeal) -> _Witnesses:
     bound = I.lcm_of_generators()
-    counts = divisor_counts(I, bound, DEFAULT_DIVISOR_LIMIT)
+    counts = divisor_counts(I, bound)
     member = (counts > 0).reshape(-1)
     strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
     cap = bound.exponents
-    u = np.flatnonzero(~member)
+    degree = sum(np.ogrid[tuple(slice(0, e + 1) for e in cap)])
+    u = np.flatnonzero(~member & (degree >= I.indeg - 1).reshape(-1))
     coords = np.unravel_index(u, counts.shape)
     fmask = np.zeros(u.size, dtype=np.int64)
     for i in range(I.ambient):
@@ -201,17 +224,6 @@ def v_oracle(I: MonomialIdeal) -> VWitness:
     best = _prime_colon_witnesses(I).least()
     if best is None:
         raise ValueError("no prime colon ideal found; is the input proper?")
-    return best
-
-
-def local_v_oracle(I: MonomialIdeal, F: Iterable[int]) -> VWitness:
-    """v-number at the fixed prime P_F; errors if F is empty, names a
-    variable outside range(I.ambient) or is not associated."""
-    _require_proper(I)
-    fs = _variable_set(F, I.ambient, "local v-number")
-    best = _prime_colon_witnesses(I).least(sum(1 << i for i in fs))
-    if best is None:
-        raise ValueError(f"P_{{{','.join(str(i + 1) for i in fs)}}} is not associated")
     return best
 
 

@@ -21,6 +21,18 @@ def edged_census():
 
 
 @pytest.fixture(scope="session")
+def edged_classes():
+    """The canonical form of every isomorphism class with an edge, per
+    vertex count 3..6, in census order of first appearance."""
+    from compedge.graphs import canonical_form, enumerate_labeled_graphs
+
+    return {
+        n: list(dict.fromkeys(canonical_form(g)[0] for g in enumerate_labeled_graphs(n) if g.edges))
+        for n in (3, 4, 5, 6)
+    }
+
+
+@pytest.fixture(scope="session")
 def random_ideals():
     """A function giving ``count`` seeded random proper ideals in at most
     n_max variables with exponents at most e_max."""

@@ -9,6 +9,7 @@ import compedge.resolution
 from compedge.graphs import (
     Graph,
     complete_graph,
+    cycle_graph,
     matching_graph,
     path_graph,
 )
@@ -26,6 +27,7 @@ from compedge.ideals import (
 from compedge.monomials import Monomial, parse_monomial, x_of_set
 from compedge.resolution import (
     BOX_CELL_LIMIT,
+    DEFAULT_LATTICE_LIMIT,
     _boundary_rank,
     _complex_classes,
     _complex_ranks,
@@ -110,6 +112,36 @@ def betti_entries_reference(I, p):
         for d, r in homology_ranks_reference(face_masks, p).items():
             entries[(d + 1, tuple(int(x) for x in a))] = r
     return entries
+
+
+def complex_classes_reference(I):
+    """Reference grouping of the Betti kernel, the 2-D row sort that
+    preceded one void key per row: :func:`_complex_classes` with the
+    complexes keyed by ``np.unique(..., axis=0)`` over the packed face-flag
+    rows."""
+    counts = divisor_counts(I, I.lcm_of_generators(), BOX_CELL_LIMIT)
+    lattice = _lcm_lattice(counts)
+    member = (counts > 0).reshape(-1)
+    strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
+    sizes = np.count_nonzero(lattice, axis=1)
+    cone = np.zeros(len(lattice), dtype=bool)
+    packed = np.zeros((len(lattice), max(1, (1 << int(sizes.max())) // 8)), dtype=np.uint8)
+    for g in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == g)
+        supp = np.nonzero(lattice[rows])[1].reshape(-1, g)
+        masks = np.arange(1 << g)
+        step = max(1, (1 << 18) >> g)
+        for lo in range(0, len(rows), step):
+            r = rows[lo : lo + step]
+            shifts = strides[supp[lo : lo + step]] @ (masks >> np.arange(g)[:, None] & 1)
+            flags = member[(lattice[r] @ strides)[:, None] - shifts]
+            for t in range(g):
+                f = masks[(masks >> t & 1) == 0]
+                cone[r] |= (flags[:, f] <= flags[:, f | 1 << t]).all(axis=1)
+            packed[r, : max(1, (1 << g) // 8)] = np.packbits(flags, axis=1)
+    unique, inverse = np.unique(packed[~cone], axis=0, return_inverse=True)
+    classes = tuple(row.tobytes().rstrip(b"\0") for row in unique)
+    return lattice[~cone], classes, inverse.reshape(-1)
 
 
 def faces_with_closure(maximal):
@@ -320,12 +352,25 @@ class TestBettiTable:
             betti_table(I)
 
     def test_over_limit_lattice_raises(self, monkeypatch):
-        # the three generators have 7 joins; an ideal no other test builds,
-        # so no cached lattice can bypass the limit
-        monkeypatch.setattr(compedge.resolution, "DEFAULT_LATTICE_LIMIT", 6)
+        # the three generators have 7 joins; the table is cached first, and
+        # the lowered limit is checked against the point count it keeps
         I = ideal([Monomial((7, 1, 0)), Monomial((0, 7, 1)), Monomial((1, 0, 7))], 3)
+        betti_table(I)
+        monkeypatch.setattr(compedge.resolution, "DEFAULT_LATTICE_LIMIT", 6)
         with pytest.raises(LimitExceededError, match="lcm lattice has 7 points, limit 6"):
             betti_table(I)
+        monkeypatch.setattr(compedge.resolution, "DEFAULT_LATTICE_LIMIT", DEFAULT_LATTICE_LIMIT)
+        assert betti_table(I).total(0) == 3
+
+    def test_lowered_box_limit_applies_to_a_cached_ideal(self, monkeypatch):
+        # the cached complexes of I^2 returned under any box limit
+        I2 = power(complementary_edge_ideal(cycle_graph(5)), 2)
+        depth = reg_pd_depth(I2).depth
+        monkeypatch.setattr(compedge.resolution, "BOX_CELL_LIMIT", 10)
+        with pytest.raises(LimitExceededError, match="divisor box has 243 cells, limit 10"):
+            reg_pd_depth(I2)
+        monkeypatch.setattr(compedge.resolution, "BOX_CELL_LIMIT", BOX_CELL_LIMIT)
+        assert reg_pd_depth(I2).depth == depth
 
     def test_lattice_agrees_with_reference(self, edged_census, random_ideals):
         ideals = random_ideals(random.Random(7), 1000)
@@ -363,6 +408,21 @@ class TestBettiTable:
                 if got != ref or list(t.entries) != sorted(want):
                     mismatches.append((str(I), p))
         assert mismatches == []
+
+    def test_complex_keys_agree_with_reference(self, edged_classes, random_ideals):
+        ideals = random_ideals(random.Random(19), 500)
+        ideals += [
+            power(complementary_edge_ideal(g), k)
+            for n in (3, 4, 5)
+            for g in edged_classes[n]
+            for k in (1, 2, 3)
+        ]
+        for I in ideals:
+            points, classes, inverse = _complex_classes(I)
+            want_points, want_classes, want_inverse = complex_classes_reference(I)
+            assert np.array_equal(points, want_points), str(I)
+            assert classes == want_classes, str(I)
+            assert np.array_equal(inverse, want_inverse), str(I)
 
     def test_acyclic_non_cone_carries_no_betti_number(self):
         # at (1,1,1,1) the complex is the path 3-0-1-2: not a cone, yet acyclic

@@ -44,6 +44,7 @@ from compedge.resolution import (
     reg_pd_depth,
 )
 from compedge.verify import (
+    DEFAULT_DIVISOR_LIMIT,
     SweepConfig,
     _colon_exceeds_power,
     _GraphState,
@@ -55,7 +56,6 @@ from compedge.verify import (
     _symbolic_equals_ordinary,
     ass_oracle,
     depth_zero_oracle,
-    local_v_oracle,
     markdown_summary,
     persistence_check,
     run_graph_checks,
@@ -227,19 +227,11 @@ class TestVOracle:
         assert v_oracle(complementary_edge_ideal(paw())).v == 1
 
     def test_local_variant(self):
-        I = complementary_edge_ideal(matching_graph(2))
-        w = local_v_oracle(I, fs(2, 4))
+        # the least witness of one prime, P_{2,4}; P_{1,2} is not associated
+        found = _prime_colon_witnesses(complementary_edge_ideal(matching_graph(2)))
+        w = found.least(0b1010)
         assert w.v == 2 and w.prime == fs(2, 4)
-        with pytest.raises(ValueError):
-            local_v_oracle(I, fs(1, 2))  # not an associated prime
-
-    def test_local_variant_refuses_variables_outside_the_ring(self):
-        I = complementary_edge_ideal(cycle_graph(4))
-        for F in ([-1], [4], [0, 4]):
-            with pytest.raises(ValueError, match="out of range for ambient 4"):
-                local_v_oracle(I, F)
-        with pytest.raises(ValueError, match="nonempty"):
-            local_v_oracle(I, [])
+        assert found.least(0b0011) is None
 
     def test_lower_bound_on_sample(self, edged_census):
         rng = random.Random(23)
@@ -605,13 +597,13 @@ class TestSweep:
 
 
 class TestWitnessKernel:
-    def test_agrees_with_reference_kernels(self, edged_census, random_ideals):
+    def test_agrees_with_reference_kernels(self, edged_census, edged_classes, random_ideals):
         ideals = random_ideals(random.Random(41), 1000)
+        graphs = [(g, 3) for n in (3, 4) for g in edged_census[n]]
+        graphs += [(g, 3) for g in edged_classes[5]]
+        graphs += [(cycle_graph(6), 3), (path_graph(6), 3), (cycle_graph(7), 3), (path_graph(7), 2)]
         ideals += [
-            power(complementary_edge_ideal(g), k)
-            for n in (3, 4)
-            for g in edged_census[n]
-            for k in (1, 2, 3)
+            power(complementary_edge_ideal(g), k) for g, k_max in graphs for k in range(1, k_max + 1)
         ]
         for I in ideals:
             found = _prime_colon_witnesses(I)
@@ -630,23 +622,58 @@ class TestWitnessKernel:
 
     def test_witness_colon_is_the_prime(self, random_ideals):
         for I in random_ideals(random.Random(43), 100):
-            for F in ass_oracle(I):
-                w = local_v_oracle(I, F)
-                P_F = ideal([variable(i, I.ambient) for i in F], I.ambient)
+            found = _prime_colon_witnesses(I)
+            for mask in found.prime_masks():
+                w = found.least(mask)
+                assert w.prime == vertex_set(mask)
+                P_F = ideal([variable(i, I.ambient) for i in w.prime], I.ambient)
                 assert colon(I, w.witness) == P_F
+
+    def test_lowered_limit_applies_to_a_memoized_ideal(self, monkeypatch):
+        I2 = power(complementary_edge_ideal(cycle_graph(5)), 2)
+        ass = ass_oracle(I2)
+        monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 10)
+        for oracle in (ass_oracle, v_oracle, depth_zero_oracle):
+            with pytest.raises(LimitExceededError, match="divisor box has 243 cells, limit 10"):
+                oracle(I2)
+        monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", DEFAULT_DIVISOR_LIMIT)
+        assert ass_oracle(I2) == ass
+
+    def test_an_equal_ideal_is_scanned_once(self):
+        compedge.verify._scan_witnesses.cache_clear()
+        I = complementary_edge_ideal(cycle_graph(5))
+        ass_oracle(I)
+        fresh = complementary_edge_ideal(cycle_graph(5))
+        assert fresh is not I and fresh == I
+        v_oracle(fresh)
+        depth_zero_oracle(fresh)
+        info = compedge.verify._scan_witnesses.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
+    def test_shared_witness_arrays_are_read_only(self):
+        found = _prime_colon_witnesses(complementary_edge_ideal(cycle_graph(5)))
+        assert found.masks.size
+        with pytest.raises(ValueError, match="read-only"):
+            found.exps[0, 0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            found.masks[0] = 0
 
 
 class TestOracleCrossValidation:
-    def test_socle_route_matches_homology_depth(self, edged_census):
-        # two independent depth-zero detectors: socle witness search vs
-        # Auslander-Buchsbaum depth from the Betti table
-        rng = random.Random(37)
-        for g in edged_census[4] + rng.sample(edged_census[5], 20):
-            I = complementary_edge_ideal(g)
-            for k in (1, 2):
-                Ik = power(I, k)
-                socle_hit, _ = depth_zero_oracle(Ik)
-                assert socle_hit == (reg_pd_depth(Ik).depth == 0)
+    def test_socle_route_matches_homology_depth(self, edged_classes):
+        # the witness scan against Auslander-Buchsbaum depth from the Betti
+        # table, on every class with an edge on at most 6 vertices: depth
+        # S/I = 0 exactly when the maximal ideal is associated, and depth
+        # S/I <= n - |F| for every associated P_F
+        for n, classes in edged_classes.items():
+            for g in classes:
+                for k in (1, 2, 3):
+                    Ik = power(complementary_edge_ideal(g), k)
+                    depth = reg_pd_depth(Ik).depth
+                    ass = ass_oracle(Ik)
+                    socle_hit, _ = depth_zero_oracle(Ik)
+                    assert socle_hit == (frozenset(range(n)) in ass) == (depth == 0), (g, k)
+                    assert depth <= n - max(map(len, ass)), (g, k)
 
     def test_ass_equals_localization_route_on_random_ideals(self):
         rng = random.Random(31)
