@@ -125,7 +125,7 @@ class MonomialIdeal:
         return int(np.count_nonzero(self.exponents.sum(axis=1) == j))
 
     def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(np.unique(self.exponents.sum(axis=1)).tolist())
+        return tuple(sorted(set(self.exponents.sum(axis=1).tolist())))
 
     def contains(self, u: Monomial) -> bool:
         """Membership: true iff some minimal generator divides u."""
@@ -323,7 +323,7 @@ def graded_component(I: MonomialIdeal, j: int) -> MonomialIdeal:
     n, degrees = I.ambient, I.exponents.sum(axis=1)
     parts = [
         I.exponents[degrees == d][:, None] + _monomials_of_degree(range(n), j - d, n)
-        for d in np.unique(degrees[degrees <= j]).tolist()
+        for d in sorted(set(degrees[degrees <= j].tolist()))
     ]
     return _generated_by(n, np.concatenate([p.reshape(-1, n) for p in parts]))
 

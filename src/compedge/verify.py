@@ -14,21 +14,26 @@ per ideal in a process: Ass, v and depth zero of one ideal, from any caller,
 read one memoized result.  A divisor box of more than
 ``DEFAULT_DIVISOR_LIMIT`` cells raises :class:`LimitExceededError`, which the
 sweep records as a skip; the limit is read at call time and checked against
-the lcm box before the memo is looked up, so it is one process-wide
-constant and no part of a result or its memo key.
+the lcm box before the scan's memo is looked up, so it is no part of a scan
+result.
 
 The sweep runs every check on the canonical form of the graph's
 isomorphism class (:func:`compedge.graphs.canonical_form`): the oracles, on
-the powers of I_c of the canonical form, once per class in a process, and
-the closed forms.  A process keeps one record per canonical graph: the
-results on those powers, keyed by the operation, k and its parameters; it is
-the only result store, and nothing outlives the process.  The powers
-themselves are built on a miss and dropped with the labeled graph.  The
-paper's statements are invariant under relabeling vertices, so a labeled
-graph only names the vertex sets its report prints, through one table of
-every bitmask of the graph, and builds its own I_c(G) only to report
-field-dependent Betti tables.  Reports list vertex sets by size, then
-lexicographically.
+the powers of I_c of the canonical form, and the closed forms, each once per
+class in a process.  A process keeps one record per canonical graph.  It
+holds the oracle results on those powers, keyed by the operation, k, its
+parameters and the limits in force (``DEFAULT_DIVISOR_LIMIT``,
+``resolution.BOX_CELL_LIMIT`` and ``resolution.DEFAULT_LATTICE_LIMIT``, read
+at call time), so a lowered limit skips a check whether or not the class was
+seen before.  It holds the closed forms' values too, keyed by the form's
+name and its arguments other than the graph, and for the localization check
+the subsets where the two tables differ.  It is the only result store, and
+nothing outlives the process.  The powers themselves are built on a miss and
+dropped with the labeled graph.  The paper's statements are invariant under
+relabeling vertices, so a labeled graph only names the vertex sets its
+report prints, through one table of every bitmask of the graph, and builds
+its own I_c(G) only to report field-dependent Betti tables.  Reports list
+vertex sets by size, then lexicographically.
 
 Strong persistence, I^(k+1) : I = I^k, and the symbolic-power identity
 I^(k) = I^k are decided on the same table, as membership over one box,
@@ -51,7 +56,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import formulas
+from . import formulas, resolution
 from .graphs import Graph, canonical_form, enumerate_labeled_graphs, to_graph6, vertex_set
 from .ideals import (
     BigDegreeCase,
@@ -379,11 +384,11 @@ def _report_order(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 @lru_cache(maxsize=2048)
 def _class_memo(canon: Graph) -> dict[tuple, object]:
-    """The oracle results of one isomorphism class in this process, by
-    (operation, k, params), shared by every labeled graph of the class.  The
-    results are immutable, so every caller can share them.  The bound holds
-    all 1252 classes on at most 7 vertices; past it the least recently used
-    class is dropped."""
+    """The oracle results and closed-form values of one isomorphism class in
+    this process, shared by every labeled graph of the class.  They are
+    immutable, so every caller can share them.  The bound holds all 1252
+    classes on at most 7 vertices; past it the least recently used class is
+    dropped."""
     return {}
 
 
@@ -400,7 +405,9 @@ class _GraphState:
     isomorphism class, and its case classification ``cls``, which it has by
     construction.  The oracles run once per class in a process
     (``_class_memo``), on the powers of I_c of the canonical form, which a
-    labeled graph builds only on a miss and drops when it is done.  The
+    labeled graph builds only on a miss and drops when it is done.  Every
+    closed form a check reads is evaluated once per class too, in the same
+    record (:meth:`closed_form`), and never reads an oracle result.  The
     labeled graph only names the vertex sets a report prints: they are
     bitmasks of the canonical form, mapped through one table of every
     bitmask (``to_labeled``), built only when a check prints one.  Each
@@ -445,10 +452,26 @@ class _GraphState:
         return self._powers[k - 1]
 
     def _memo(self, operation: str, k: int, params: dict, compute):
-        """compute(I^k) on the canonical ideal, kept per class."""
-        key = (operation, k, tuple(sorted(params.items())))
+        """compute(I^k) on the canonical ideal, kept per class under the box
+        and lattice limits in force."""
+        key = (
+            operation,
+            k,
+            tuple(sorted(params.items())),
+            DEFAULT_DIVISOR_LIMIT,
+            resolution.BOX_CELL_LIMIT,
+            resolution.DEFAULT_LATTICE_LIMIT,
+        )
         if key not in self._results:
             self._results[key] = compute(self.power(k))
+        return self._results[key]
+
+    def closed_form(self, name: str, graph, *args):
+        """``formulas.<name>(graph, *args)``, where ``graph`` is ``canon`` or
+        ``cls``, kept per class by ``name`` and ``args``.  It builds no power."""
+        key = (name, *args)
+        if key not in self._results:
+            self._results[key] = getattr(formulas, name)(graph, *args)
         return self._results[key]
 
     def witnesses(self, k: int) -> tuple[frozenset[int], int]:
@@ -469,6 +492,17 @@ class _GraphState:
         every nonempty vertex subset."""
         subsets = np.arange(1, 1 << self.g.n)
         return self._memo("localization_supports", 1, {}, lambda I: _localization_supports(I, subsets))
+
+    def localization_mismatches(self) -> tuple[int, ...]:
+        """The canonical vertex bitmasks F whose row of
+        :func:`compedge.formulas.localization_table` differs from
+        :meth:`localization`'s, kept per class; the formula's table is not."""
+        key = ("localization_table",)
+        if key not in self._results:
+            subsets = np.arange(1, 1 << self.g.n)
+            formula = formulas.localization_table(self.canon, subsets)
+            self._results[key] = tuple(subsets[(self.localization() != formula).any(axis=1)].tolist())
+        return self._results[key]
 
     def invariants(self, k: int) -> HomologicalInvariants:
         p = self.cfg.primes[0]
@@ -516,8 +550,8 @@ class _GraphState:
 
 def _check_ass(st: _GraphState, rpt: VerificationReport) -> bool:
     asses = st.asses()
-    first = formulas.ass_first_power_masks(st.canon)
-    stable = formulas.ass_infinity_masks(st.canon)
+    first = st.closed_form("ass_first_power_masks", st.canon)
+    stable = st.closed_form("ass_infinity_masks", st.canon)
     ok = asses[0] == first
     for k in range(1, st.cfg.k_max + 1):
         entry = rpt.per_k.setdefault(k, {})
@@ -549,7 +583,7 @@ def _check_persistence(st: _GraphState, rpt: VerificationReport) -> bool:
 
 
 def _check_entry_bound(st: _GraphState, rpt: VerificationReport) -> bool:
-    stable = formulas.ass_infinity_masks(st.canon)
+    stable = st.closed_form("ass_infinity_masks", st.canon)
     asses = st.asses()
     rank, names = _report_order(st.g.n)
     to_labeled = st.to_labeled
@@ -581,19 +615,17 @@ def _localization_supports(I: MonomialIdeal, subsets: np.ndarray) -> np.ndarray:
 
 
 def _check_localization(st: _GraphState, rpt: VerificationReport) -> bool:
-    subsets = np.arange(1, 1 << st.g.n)
-    formula = formulas.localization_table(st.canon, subsets)
-    bad = subsets[(st.localization() != formula).any(axis=1)]
-    if bad.size:
-        rpt.details["localization"] = {"mismatched_subsets": st.names(bad.tolist())}
-    return not bad.size
+    bad = st.localization_mismatches()
+    if bad:
+        rpt.details["localization"] = {"mismatched_subsets": st.names(bad)}
+    return not bad
 
 
 def _check_reg(st: _GraphState, rpt: VerificationReport) -> bool:
     ok = True
     for k in range(1, st.cfg.k_max + 1):
         oracle = st.invariants(k).regularity
-        predicted = formulas.reg_closed_form(st.cls, k)
+        predicted = st.closed_form("reg_closed_form", st.cls, k)
         entry = rpt.per_k.setdefault(k, {})
         entry["reg_oracle"] = oracle
         entry["reg_formula"] = predicted
@@ -611,7 +643,7 @@ def _check_depth_monotone(st: _GraphState, rpt: VerificationReport) -> bool:
 
 
 def _check_depth_stable(st: _GraphState, rpt: VerificationReport) -> bool | None:
-    stable_depth, dstab_bound = formulas.depth_and_dstab_closed_form(st.cls)
+    stable_depth, dstab_bound = st.closed_form("depth_and_dstab_closed_form", st.cls)
     if st.cfg.k_max < dstab_bound:
         rpt.skipped["depth-stable"] = (
             f"needs k_max >= {dstab_bound} to reach the stabilized value"
@@ -630,7 +662,7 @@ def _check_v(st: _GraphState, rpt: VerificationReport) -> bool:
     ok = True
     for k in range(1, st.cfg.k_max + 1):
         v = st.witnesses(k)[1]
-        predicted = formulas.v_closed_form(st.canon, k)
+        predicted = st.closed_form("v_closed_form", st.canon, k)
         entry = rpt.per_k.setdefault(k, {})
         entry["v_oracle"] = v
         entry["v_formula"] = predicted
@@ -640,7 +672,7 @@ def _check_v(st: _GraphState, rpt: VerificationReport) -> bool:
 
 
 def _check_symbolic(st: _GraphState, rpt: VerificationReport) -> bool:
-    predicted = formulas.symbolic_equals_ordinary_class(st.canon)
+    predicted = st.closed_form("symbolic_equals_ordinary_class", st.canon)
     actual = st.symbolic()
     rpt.details["symbolic"] = {
         "class_predicate": predicted,
@@ -650,7 +682,7 @@ def _check_symbolic(st: _GraphState, rpt: VerificationReport) -> bool:
 
 
 def _check_linear(st: _GraphState, rpt: VerificationReport) -> bool:
-    predicted = formulas.linear_powers_predicate(st.cls)
+    predicted = st.closed_form("linear_powers_predicate", st.cls)
     per_k = {}
     ok = True
     for k in range(1, min(st.cfg.k_max, 3) + 1):

@@ -77,12 +77,10 @@ class TestAnalyze:
         assert code == 3
 
     def test_limit_skips_exit_code(self, capsys, monkeypatch):
-        # every box-scanning check skips on the divisor limit; the skip
-        # reasons of depth-stable and strong-persistence do not count.  The
-        # limit is a module constant, so lower it and forget the results
-        # earlier tests memoized for the class
+        # every box-scanning check skips on the divisor limit, even for a
+        # class whose results earlier tests memoized; the skip reasons of
+        # depth-stable and strong-persistence do not count
         monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 1)
-        compedge.verify._class_memo.cache_clear()
         code, out, _ = run(capsys, "analyze", "--edges", C4_EDGES, "--kmax", "2")
         assert code == 3
         assert "ass: SKIPPED (limit: divisor box has 16 cells, limit 1)" in out

@@ -1,13 +1,17 @@
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import compedge.formulas
+import compedge.resolution
 import compedge.verify
 from compedge.formulas import ass_infinity
 from compedge.graphs import (
@@ -25,6 +29,7 @@ from compedge.ideals import (
     colon,
     colon_ideal,
     complementary_edge_ideal,
+    divisor_counts,
     ideal,
     localize,
     membership_box,
@@ -373,7 +378,10 @@ class TestLocalizationTables:
                 assert set(np.flatnonzero(row).tolist()) == want, (str(g), fs)
 
     def test_wrong_formula_reports_subsets_by_size_then_lex(self, monkeypatch):
+        # the class record keeps the comparison, so start from an empty one
+        # and leave none that holds the wrong formula's
         monkeypatch.setattr(compedge.formulas, "localization_table", localization_without_a_f)
+        new_process()
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         rpt = run_graph_checks(star, SweepConfig(checks=("localization",)))
         assert rpt.summary["localization"] is False
@@ -381,6 +389,7 @@ class TestLocalizationTables:
         assert rpt.details["localization"]["mismatched_subsets"] == [
             [1], [2], [3], [4], [2, 3], [2, 4], [3, 4], [2, 3, 4]
         ]
+        new_process()
 
     def test_n7_localization_and_symbolic(self):
         cfg = SweepConfig(checks=("localization", "symbolic"))
@@ -423,6 +432,26 @@ class TestSweep:
         info = compedge.verify._class_memo.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert info.maxsize >= 1044  # every class on 7 vertices
+        new_process()
+
+    @pytest.mark.parametrize(
+        "check, module, limit, reason",
+        [
+            ("ass", compedge.verify, "DEFAULT_DIVISOR_LIMIT", "divisor box has 16 cells, limit 1"),
+            ("reg", compedge.resolution, "BOX_CELL_LIMIT", "divisor box has 16 cells, limit 1"),
+            ("reg", compedge.resolution, "DEFAULT_LATTICE_LIMIT", "lcm lattice has 9 points, limit 1"),
+        ],
+    )
+    def test_a_lowered_limit_skips_a_class_seen_before(self, check, module, limit, reason, monkeypatch):
+        new_process()
+        cfg = SweepConfig(k_max=2, checks=(check,))
+        copy = Graph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+        assert run_graph_checks(cycle_graph(4), cfg).summary == {check: True}
+        monkeypatch.setattr(module, limit, 1)
+        rpt = run_graph_checks(copy, cfg)
+        assert (rpt.summary, rpt.skipped) == ({check: None}, {check: f"limit: {reason}"})
+        monkeypatch.undo()
+        assert run_graph_checks(copy, cfg).summary == {check: True}
         new_process()
 
     def test_default_lq_limit_covers_the_n4_cubes(self):
@@ -659,6 +688,27 @@ class TestWitnessKernel:
             found.masks[0] = 0
 
 
+def test_checks_and_oracles_do_not_import_numpy_ma():
+    # np.unique without return_inverse imports numpy.ma on first use, which
+    # a timed round would pay for
+    code = """
+import sys
+from compedge.graphs import complete_graph, cycle_graph, path_graph
+from compedge.ideals import complementary_edge_ideal, power
+from compedge.resolution import is_componentwise_linear
+from compedge.verify import SweepConfig, ass_oracle, depth_zero_oracle, run_graph_checks, v_oracle
+cfg = SweepConfig(k_max=4, checks=("all",))
+for g in (cycle_graph(5), path_graph(5), complete_graph(4)):
+    run_graph_checks(g, cfg)
+    I2 = power(complementary_edge_ideal(g), 2)
+    ass_oracle(I2), v_oracle(I2), depth_zero_oracle(I2), is_componentwise_linear(I2)
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(compedge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestOracleCrossValidation:
     def test_socle_route_matches_homology_depth(self, edged_classes):
         # the witness scan against Auslander-Buchsbaum depth from the Betti
@@ -674,6 +724,29 @@ class TestOracleCrossValidation:
                     socle_hit, _ = depth_zero_oracle(Ik)
                     assert socle_hit == (frozenset(range(n)) in ass) == (depth == 0), (g, k)
                     assert depth <= n - max(map(len, ass)), (g, k)
+
+    def test_betti_numbers_sum_to_the_membership_differences(self, edged_classes):
+        # identity 3: at every multidegree a of the lcm box, the alternating
+        # sum of beta_{i,a}(I) over i (beta_0 counting generators) is the
+        # n-fold first difference of the membership table of I, zero-padded
+        # below, over F_2 and F_3 alike
+        violations = []
+        for classes in edged_classes.values():
+            for g in classes:
+                I = complementary_edge_ideal(g)
+                for k in (1, 2, 3):
+                    Ik = power(I, k)
+                    diff = (divisor_counts(Ik, Ik.lcm_of_generators()) > 0).astype(np.int64)
+                    for axis in range(Ik.ambient):
+                        diff = np.diff(diff, axis=axis, prepend=0)
+                    for p in (2, 3):
+                        table = betti_table(Ik, p)
+                        signed = np.zeros_like(diff)
+                        np.add.at(signed, tuple(table.multidegrees.T), (-1) ** table.i * table.rank)
+                        violations += [
+                            (str(g), k, p, tuple(a)) for a in np.argwhere(signed != diff).tolist()
+                        ]
+        assert violations == []
 
     def test_ass_equals_localization_route_on_random_ideals(self):
         rng = random.Random(31)
@@ -785,6 +858,42 @@ class TestClassMemo:
         assert mismatches == []
         # the tight limits make each limited oracle raise somewhere
         assert {"witnesses", "labeled_ass", "linear", "symbolic", "strong-persistence"} <= set(limits)
+
+    def test_each_closed_form_runs_once_per_class(self, monkeypatch):
+        calls = Counter()
+        forms = (
+            "localization_table",
+            "symbolic_equals_ordinary_class",
+            "ass_infinity_masks",
+            "v_closed_form",
+            "reg_closed_form",
+        )
+
+        def counting(name, form):
+            def wrapper(graph, *args):
+                canon = getattr(graph, "graph", graph)  # reg_closed_form takes a CaseClassification
+                k = args if name in ("v_closed_form", "reg_closed_form") else ()
+                calls[(name, canon, *k)] += 1
+                return form(graph, *args)
+
+            return wrapper
+
+        for name in forms:
+            monkeypatch.setattr(compedge.formulas, name, counting(name, getattr(compedge.formulas, name)))
+        cfg = SweepConfig(
+            k_max=3, checks=("ass", "entry-bound", "localization", "reg", "v", "symbolic")
+        )
+        new_process()
+        want = Counter()
+        for g in (cycle_graph(4), paw(), matching_graph(2)):
+            canon = canonical_form(g)[0]
+            want.update([(name, canon) for name in forms[:3]])
+            want.update((name, canon, k) for name in forms[3:] for k in (1, 2, 3))
+            for perm in itertools.permutations(range(g.n)):
+                copy = Graph.from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges])
+                assert set(run_graph_checks(copy, cfg).summary.values()) == {True}
+        assert calls == want
+        new_process()
 
     def test_printed_vertex_sets_are_the_labeled_graphs(self, monkeypatch):
         # a triangle with a pendant at two of its vertices, labeled so that
