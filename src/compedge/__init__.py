@@ -15,7 +15,6 @@ from .graphs import (
     complete_graph,
     component_summary,
     cycle_graph,
-    disjoint_union,
     enumerate_labeled_graphs,
     format_edge_list,
     from_graph6,
@@ -46,16 +45,10 @@ from .ideals import (
     multiply,
     parse_ideal,
     power,
-    prime_power,
     symbolic_power,
-    unit_ideal,
-    zero_ideal,
 )
 from .monomials import (
     Monomial,
-    canonical_key,
-    divisors,
-    gcd,
     lcm,
     one,
     parse_monomial,

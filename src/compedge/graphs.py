@@ -110,12 +110,6 @@ def matching_graph(t: int) -> Graph:
     return Graph(2 * t, frozenset((2 * i, 2 * i + 1) for i in range(t)))
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Disjoint union, with h's vertices shifted past g's."""
-    shifted = {(i + g.n, j + g.n) for i, j in h.edges}
-    return Graph(g.n + h.n, g.edges | frozenset(shifted))
-
-
 def with_isolated(g: Graph, count: int) -> Graph:
     """Append ``count`` isolated vertices after the existing ones."""
     if count < 0:

@@ -15,7 +15,10 @@ over the generator matrices.
 
 The oracles that scan the divisor box of an ideal all read one table,
 :func:`divisor_counts`, the number of minimal generators dividing each box
-monomial.
+monomial.  One limit guards every such table: a box of more than
+``BOX_CELL_LIMIT`` cells raises :class:`LimitExceededError`.  The limit is
+read at call time, so a caller lowers it by setting
+``compedge.ideals.BOX_CELL_LIMIT``.
 
 Squarefree generating sets held as vertex bitmasks, many at once, are
 minimalized by :func:`minimal_supports` into one boolean table; minimal
@@ -35,6 +38,8 @@ import numpy as np
 
 from .graphs import Graph
 from .monomials import Monomial
+
+BOX_CELL_LIMIT = 5_000_000
 
 
 class LimitExceededError(RuntimeError):
@@ -491,19 +496,17 @@ def symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
 # the divisor-count table, read by every box-scanning oracle
 
 
-def _box_shape(bound: Monomial, cell_limit: int | None) -> tuple[int, ...]:
+def _box_shape(bound: Monomial) -> tuple[int, ...]:
     """The shape of the divisor box of ``bound``; a box of more than
-    ``cell_limit`` cells raises :class:`LimitExceededError`."""
+    ``BOX_CELL_LIMIT`` cells raises :class:`LimitExceededError`."""
     shape = tuple(e + 1 for e in bound.exponents)
     cells = math.prod(shape)
-    if cell_limit is not None and cells > cell_limit:
-        raise LimitExceededError(f"divisor box has {cells} cells, limit {cell_limit}")
+    if cells > BOX_CELL_LIMIT:
+        raise LimitExceededError(f"divisor box has {cells} cells, limit {BOX_CELL_LIMIT}")
     return shape
 
 
-def divisor_counts(
-    I: MonomialIdeal, bound: Monomial, cell_limit: int | None = None
-) -> np.ndarray:
+def divisor_counts(I: MonomialIdeal, bound: Monomial) -> np.ndarray:
     """Divisor-count table of I over the divisor box of ``bound``.
 
     Returns an unsigned int array of shape (bound_1+1, ..., bound_n+1) whose
@@ -511,12 +514,12 @@ def divisor_counts(
     Each generator inside the box is added at its own cell, and one
     cumulative sum per axis carries it to every cell above it.  Membership
     of x^a in I is ``C[a] > 0``; the witness scans and the lcm lattice read
-    the same table.  A box of more than ``cell_limit`` cells raises
+    the same table.  A box of more than ``BOX_CELL_LIMIT`` cells raises
     :class:`LimitExceededError` before anything is allocated.
     """
     if bound.ambient != I.ambient:
         raise ValueError("ambient mismatch")
-    shape = _box_shape(bound, cell_limit)
+    shape = _box_shape(bound)
     # no cell counts more than every generator
     dtype = np.min_scalar_type(len(I.exponents))
     counts = np.zeros(shape, dtype=dtype)

@@ -6,10 +6,9 @@ is 1-based, conversion happens only in :func:`parse_monomial` and ``str()``.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -17,7 +16,7 @@ class Monomial:
     """A monomial given by its exponent vector; the constant 1 is all zeros.
 
     The dataclass ordering (plain tuple comparison) is *not* the canonical
-    monomial order; use :func:`canonical_key` for (degree, lex) sorting.
+    (degree, lex) monomial order.
     """
 
     exponents: tuple[int, ...]
@@ -122,26 +121,6 @@ def x_of_set(indices: Iterable[int], ambient: int) -> Monomial:
 def lcm(u: Monomial, v: Monomial) -> Monomial:
     u._check_compatible(v)
     return Monomial(tuple(max(a, b) for a, b in zip(u.exponents, v.exponents)))
-
-
-def gcd(u: Monomial, v: Monomial) -> Monomial:
-    u._check_compatible(v)
-    return Monomial(tuple(min(a, b) for a, b in zip(u.exponents, v.exponents)))
-
-
-def canonical_key(u: Monomial) -> tuple[int, tuple[int, ...]]:
-    """Sort key: ascending total degree, ties by lex on exponent vectors."""
-    return (u.degree, u.exponents)
-
-
-def divisors(u: Monomial) -> Iterator[Monomial]:
-    """All divisors of ``u``, each exactly once.
-
-    The count is the product of (e_i + 1); order is deterministic (last
-    exponent varies fastest).
-    """
-    for exps in itertools.product(*(range(e + 1) for e in u.exponents)):
-        yield Monomial(exps)
 
 
 _TERM_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")

@@ -5,8 +5,9 @@ homology H~_{i-1} of the upper-Koszul complex of I at the multidegree a,
 and only multidegrees in the lcm lattice of the generators can carry a
 nonzero rank.  Both the lattice and the upper-Koszul faces are read off one
 divisor-count table over the divisor box of the generator lcm
-(:func:`compedge.ideals.divisor_counts`); a box of more than
-``BOX_CELL_LIMIT`` cells raises :class:`LimitExceededError`.
+(:func:`compedge.ideals.divisor_counts`), so the one box limit,
+``compedge.ideals.BOX_CELL_LIMIT``, guards it; a lattice of more than
+``DEFAULT_LATTICE_LIMIT`` points raises :class:`LimitExceededError` too.
 
 One kernel gives every Betti invariant, and it is the only code that builds
 or ranks an upper-Koszul complex.  Per ideal, :func:`_complex_classes` drops
@@ -41,7 +42,6 @@ from .monomials import Monomial
 
 DEFAULT_PRIME = 2
 DEFAULT_LATTICE_LIMIT = 50_000
-BOX_CELL_LIMIT = 5_000_000
 DEFAULT_QUOTIENTS_LIMIT = 2000
 _DEAD_BITS = 1 << 28
 
@@ -260,7 +260,7 @@ def _complex_classes(I: MonomialIdeal) -> tuple[np.ndarray, tuple[bytes, ...], n
     them, as :func:`_complex_ranks` keys; and per point its complex's index.
     Nothing here depends on the field.
     """
-    _box_shape(I.lcm_of_generators(), BOX_CELL_LIMIT)
+    _box_shape(I.lcm_of_generators())
     lattice_points, points, classes, inverse = _classify_complexes(I)
     _require_lattice(lattice_points)
     return points, classes, inverse

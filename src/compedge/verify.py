@@ -12,28 +12,28 @@ witness, since x_i u lies in I for some i.  The fuzz suite cross-validates
 this against the independent localization/socle route.  The scan runs once
 per ideal in a process: Ass, v and depth zero of one ideal, from any caller,
 read one memoized result.  A divisor box of more than
-``DEFAULT_DIVISOR_LIMIT`` cells raises :class:`LimitExceededError`, which the
-sweep records as a skip; the limit is read at call time and checked against
-the lcm box before the scan's memo is looked up, so it is no part of a scan
-result.
+``ideals.BOX_CELL_LIMIT`` cells, the one limit on every divisor-count table,
+raises :class:`LimitExceededError`, which the sweep records as a skip; the
+limit is read at call time and checked against the lcm box before the scan's
+memo is looked up, so it is no part of a scan result.
 
 The sweep runs every check on the canonical form of the graph's
 isomorphism class (:func:`compedge.graphs.canonical_form`): the oracles, on
 the powers of I_c of the canonical form, and the closed forms, each once per
 class in a process.  A process keeps one record per canonical graph.  It
 holds the oracle results on those powers, keyed by the operation, k, its
-parameters and the limits in force (``DEFAULT_DIVISOR_LIMIT``,
-``resolution.BOX_CELL_LIMIT`` and ``resolution.DEFAULT_LATTICE_LIMIT``, read
-at call time), so a lowered limit skips a check whether or not the class was
-seen before.  It holds the closed forms' values too, keyed by the form's
-name and its arguments other than the graph, and for the localization check
-the subsets where the two tables differ.  It is the only result store, and
-nothing outlives the process.  The powers themselves are built on a miss and
-dropped with the labeled graph.  The paper's statements are invariant under
-relabeling vertices, so a labeled graph only names the vertex sets its
-report prints, through one table of every bitmask of the graph, and builds
-its own I_c(G) only to report field-dependent Betti tables.  Reports list
-vertex sets by size, then lexicographically.
+parameters and the limits in force (``ideals.BOX_CELL_LIMIT`` and
+``resolution.DEFAULT_LATTICE_LIMIT``, read at call time), so a lowered limit
+skips a check whether or not the class was seen before.  It holds the closed
+forms' values too, keyed by the form's name and its arguments other than the
+graph, and for the localization check only the subsets where the two tables
+differ.  It is the only result store, and nothing outlives the process.  The
+powers themselves are built on a miss and dropped with the labeled graph.
+The paper's statements are invariant under relabeling vertices, so a labeled
+graph only names the vertex sets its report prints, through one table of
+every bitmask of the graph, and builds its own I_c(G) only to report
+field-dependent Betti tables.  Reports list vertex sets by size, then
+lexicographically.
 
 Strong persistence, I^(k+1) : I = I^k, and the symbolic-power identity
 I^(k) = I^k are decided on the same table, as membership over one box,
@@ -56,7 +56,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import formulas, resolution
+from . import formulas, ideals, resolution
 from .graphs import Graph, canonical_form, enumerate_labeled_graphs, to_graph6, vertex_set
 from .ideals import (
     BigDegreeCase,
@@ -84,7 +84,6 @@ from .resolution import (
     reg_pd_depth,
 )
 
-DEFAULT_DIVISOR_LIMIT = 1_000_000
 REPORT_SCHEMA_VERSION = 1
 
 
@@ -143,11 +142,11 @@ def _prime_colon_witnesses(I: MonomialIdeal) -> _Witnesses:
     slab are candidates.  The steps read from a candidate, u + e_i and the
     raised u, never lower its degree.
 
-    The scan runs once per ideal in a process, memoized for 64 ideals.
-    ``DEFAULT_DIVISOR_LIMIT`` is checked against the lcm box on every call,
-    before the memo is looked up.
+    The scan runs once per ideal in a process, memoized for 64 ideals.  The
+    box limit is checked against the lcm box on every call, before the memo
+    is looked up.
     """
-    _box_shape(I.lcm_of_generators(), DEFAULT_DIVISOR_LIMIT)
+    _box_shape(I.lcm_of_generators())
     return _scan_witnesses(I)
 
 
@@ -286,8 +285,8 @@ def _colon_exceeds_power(I: MonomialIdeal, Ik: MonomialIdeal, Ik1: MonomialIdeal
     """
     bound = np.maximum(Ik.exponents.max(axis=0), Ik1.exponents.max(axis=0)).tolist()
     box = Monomial(tuple(bound))
-    escaped = divisor_counts(Ik, box, DEFAULT_DIVISOR_LIMIT) == 0
-    member = divisor_counts(Ik1, box, DEFAULT_DIVISOR_LIMIT) > 0
+    escaped = divisor_counts(Ik, box) == 0
+    member = divisor_counts(Ik1, box) > 0
     padded = np.pad(member, [(0, e) for e in I.exponents.max(axis=0).tolist()], mode="edge")
     for g in I.exponents.tolist():
         escaped &= padded[tuple(slice(e, e + b + 1) for e, b in zip(g, bound))]
@@ -329,7 +328,7 @@ def _symbolic_equals_ordinary(I: MonomialIdeal, Ik: MonomialIdeal, k: int) -> bo
     divisor-count table of I^k on that box.
     """
     n = I.ambient
-    ordinary = divisor_counts(Ik, Monomial((k,) * n), DEFAULT_DIVISOR_LIMIT) > 0
+    ordinary = divisor_counts(Ik, Monomial((k,) * n)) > 0
     axes = np.ogrid[(slice(0, k + 1),) * n]
     symbolic = np.ones_like(ordinary)
     for F in minimal_primes_squarefree(I):
@@ -412,7 +411,11 @@ class _GraphState:
     bitmasks of the canonical form, mapped through one table of every
     bitmask (``to_labeled``), built only when a check prints one.  Each
     power is scanned for prime colon witnesses once; the Ass, v,
-    persistence and entry-bound checks all read that one result.
+    persistence and entry-bound checks all read that one result.  Oracle
+    results are keyed by ``ideals.BOX_CELL_LIMIT`` and
+    ``resolution.DEFAULT_LATTICE_LIMIT`` as read at call time, so a lowered
+    limit skips every box check of a class seen before.  The record holds no
+    table: the localization check keeps only its mismatched subsets.
     """
 
     def __init__(self, g: Graph, cfg: SweepConfig):
@@ -458,8 +461,7 @@ class _GraphState:
             operation,
             k,
             tuple(sorted(params.items())),
-            DEFAULT_DIVISOR_LIMIT,
-            resolution.BOX_CELL_LIMIT,
+            ideals.BOX_CELL_LIMIT,
             resolution.DEFAULT_LATTICE_LIMIT,
         )
         if key not in self._results:
@@ -487,21 +489,17 @@ class _GraphState:
     def asses(self) -> list[frozenset[int]]:
         return [self.witnesses(k)[0] for k in range(1, self.cfg.k_max + 1)]
 
-    def localization(self) -> np.ndarray:
-        """:func:`_localization_supports` of I_c of the canonical form at
-        every nonempty vertex subset."""
-        subsets = np.arange(1, 1 << self.g.n)
-        return self._memo("localization_supports", 1, {}, lambda I: _localization_supports(I, subsets))
-
     def localization_mismatches(self) -> tuple[int, ...]:
         """The canonical vertex bitmasks F whose row of
         :func:`compedge.formulas.localization_table` differs from
-        :meth:`localization`'s, kept per class; the formula's table is not."""
+        :func:`_localization_supports` of I_c of the canonical form, kept per
+        class; neither table is."""
         key = ("localization_table",)
         if key not in self._results:
             subsets = np.arange(1, 1 << self.g.n)
+            oracle = _localization_supports(self.power(1), subsets)
             formula = formulas.localization_table(self.canon, subsets)
-            self._results[key] = tuple(subsets[(self.localization() != formula).any(axis=1)].tolist())
+            self._results[key] = tuple(subsets[(oracle != formula).any(axis=1)].tolist())
         return self._results[key]
 
     def invariants(self, k: int) -> HomologicalInvariants:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-import compedge.verify
+import compedge.ideals
 from compedge.cli import build_parser, main
 from compedge.graphs import cycle_graph, to_graph6
 
@@ -77,13 +77,14 @@ class TestAnalyze:
         assert code == 3
 
     def test_limit_skips_exit_code(self, capsys, monkeypatch):
-        # every box-scanning check skips on the divisor limit, even for a
+        # every box-scanning check skips on the one box limit, even for a
         # class whose results earlier tests memoized; the skip reasons of
         # depth-stable and strong-persistence do not count
-        monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 1)
+        monkeypatch.setattr(compedge.ideals, "BOX_CELL_LIMIT", 1)
         code, out, _ = run(capsys, "analyze", "--edges", C4_EDGES, "--kmax", "2")
         assert code == 3
         assert "ass: SKIPPED (limit: divisor box has 16 cells, limit 1)" in out
+        assert "reg: SKIPPED (limit: divisor box has 16 cells, limit 1)" in out
         assert "FAIL" not in out
 
     def test_file_input(self, capsys, tmp_path):

@@ -11,7 +11,6 @@ from compedge.graphs import (
     complete_graph,
     component_summary,
     cycle_graph,
-    disjoint_union,
     enumerate_labeled_graphs,
     format_edge_list,
     from_graph6,
@@ -86,10 +85,9 @@ class TestFamilies:
     def test_complete(self):
         assert len(complete_graph(5).edges) == 10
 
-    def test_disjoint_union_and_isolated(self):
-        g = disjoint_union(matching_graph(1), complete_graph(3))
-        assert g.n == 5 and len(g.edges) == 4
-        assert with_isolated(g, 2).n == 7
+    def test_with_isolated(self):
+        g = complete_graph(3)
+        assert with_isolated(g, 2).n == 5
         assert with_isolated(g, 2).edges == g.edges
 
     def test_rejects_bad_parameters(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import compedge.ideals
 from compedge.graphs import (
     Graph,
     complete_graph,
@@ -40,11 +41,18 @@ from compedge.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from compedge.monomials import Monomial, divisors, one, parse_monomial
+from compedge.monomials import Monomial, one, parse_monomial
 
 
 def I_(text, ambient):
     return parse_ideal(text, ambient)
+
+
+def divisors(u):
+    """Reference enumeration of the divisors of ``u``, each once, the last
+    exponent varying fastest."""
+    for exps in itertools.product(*(range(e + 1) for e in u.exponents)):
+        yield Monomial(exps)
 
 
 def paw():
@@ -282,12 +290,22 @@ class TestMembership:
                 assert box[u.exponents] == (u in I)
                 assert counts[u.exponents] == sum(g.divides(u) for g in I.generators)
 
-    def test_divisor_counts_cell_limit(self):
+    def test_divisor_counts_box_limit(self, monkeypatch):
         I = I_("(x1^3*x2^3, x3^3*x4^3)", 4)
         bound = I.lcm_of_generators()
-        assert divisor_counts(I, bound, 256).shape == (4, 4, 4, 4)
+        monkeypatch.setattr(compedge.ideals, "BOX_CELL_LIMIT", 256)
+        assert divisor_counts(I, bound).shape == (4, 4, 4, 4)
+        monkeypatch.setattr(compedge.ideals, "BOX_CELL_LIMIT", 255)
         with pytest.raises(LimitExceededError, match="256 cells, limit 255"):
-            divisor_counts(I, bound, 255)
+            divisor_counts(I, bound)
+
+    def test_direct_table_callers_are_bounded(self):
+        # (x1^9, ..., x7^9): a divisor box of 10^7 cells, over the default limit
+        I = ideal([Monomial(tuple(9 * (i == j) for j in range(7))) for i in range(7)], 7)
+        bound = I.lcm_of_generators()
+        for table in (divisor_counts, membership_box):
+            with pytest.raises(LimitExceededError, match="divisor box has 10000000 cells, limit 5000000"):
+                table(I, bound)
 
     def test_divisor_counts_past_255_generators(self):
         # 1140 generators, all dividing the top cell of the lcm box

@@ -1,20 +1,16 @@
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from compedge.monomials import (
     Monomial,
-    canonical_key,
-    divisors,
-    gcd,
     lcm,
     one,
     parse_monomial,
     variable,
     x_of_set,
 )
+from test_ideals import divisors
 
 
 def m(*exps):
@@ -65,9 +61,6 @@ class TestArithmetic:
         assert m(1, 0).divides(m(2, 1))
         assert not m(2, 1).divides(m(1, 1))
 
-    def test_gcd(self):
-        assert gcd(m(2, 1, 0), m(0, 2, 1)) == m(0, 1, 0)
-
     def test_exact_division(self):
         assert m(2, 1) // m(1, 0) == m(1, 1)
         with pytest.raises(ValueError):
@@ -78,9 +71,8 @@ class TestArithmetic:
             m(1) * m(1, 0)
 
     @given(paired())
-    def test_gcd_lcm_divisibility(self, pair):
+    def test_lcm_is_a_common_multiple(self, pair):
         u, v = pair
-        assert gcd(u, v).divides(u) and gcd(u, v).divides(v)
         assert u.divides(lcm(u, v)) and v.divides(lcm(u, v))
 
     @given(paired())
@@ -105,6 +97,9 @@ class TestBuilders:
 
 
 class TestDivisors:
+    """The reference enumeration the divisor-count tables of ``test_ideals``
+    are checked against."""
+
     @pytest.mark.parametrize(
         "u,count",
         [(m(1, 1), 4), (m(2), 3), (m(2, 2, 2), 27)],
@@ -144,8 +139,3 @@ class TestTextFormat:
             parse_monomial("y1", 3)
         with pytest.raises(ValueError):
             parse_monomial("x9", 3)
-
-    def test_canonical_key_orders_by_degree_then_lex(self):
-        us = [m(1, 1, 0), m(0, 0, 1), m(2, 0, 0), m(0, 1, 1)]
-        ordered = sorted(us, key=canonical_key)
-        assert ordered == [m(0, 0, 1), m(0, 1, 1), m(1, 1, 0), m(2, 0, 0)]

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import compedge.ideals
 import compedge.resolution
 from compedge.graphs import (
     Graph,
@@ -26,7 +27,6 @@ from compedge.ideals import (
 )
 from compedge.monomials import Monomial, parse_monomial, x_of_set
 from compedge.resolution import (
-    BOX_CELL_LIMIT,
     DEFAULT_LATTICE_LIMIT,
     _boundary_rank,
     _complex_classes,
@@ -97,7 +97,7 @@ def betti_entries_reference(I, p):
     """Reference Betti table, the per-lattice-point loop that preceded the
     distinct-complex kernel: build each point's face set, rank it, and
     write its entries into a dict."""
-    counts = divisor_counts(I, I.lcm_of_generators(), BOX_CELL_LIMIT)
+    counts = divisor_counts(I, I.lcm_of_generators())
     points = _lcm_lattice(counts)
     member = (counts > 0).reshape(-1)
     strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
@@ -119,7 +119,7 @@ def complex_classes_reference(I):
     preceded one void key per row: :func:`_complex_classes` with the
     complexes keyed by ``np.unique(..., axis=0)`` over the packed face-flag
     rows."""
-    counts = divisor_counts(I, I.lcm_of_generators(), BOX_CELL_LIMIT)
+    counts = divisor_counts(I, I.lcm_of_generators())
     lattice = _lcm_lattice(counts)
     member = (counts > 0).reshape(-1)
     strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
@@ -366,10 +366,10 @@ class TestBettiTable:
         # the cached complexes of I^2 returned under any box limit
         I2 = power(complementary_edge_ideal(cycle_graph(5)), 2)
         depth = reg_pd_depth(I2).depth
-        monkeypatch.setattr(compedge.resolution, "BOX_CELL_LIMIT", 10)
+        monkeypatch.setattr(compedge.ideals, "BOX_CELL_LIMIT", 10)
         with pytest.raises(LimitExceededError, match="divisor box has 243 cells, limit 10"):
             reg_pd_depth(I2)
-        monkeypatch.setattr(compedge.resolution, "BOX_CELL_LIMIT", BOX_CELL_LIMIT)
+        monkeypatch.undo()
         assert reg_pd_depth(I2).depth == depth
 
     def test_lattice_agrees_with_reference(self, edged_census, random_ideals):

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import compedge.formulas
+import compedge.ideals
 import compedge.resolution
 import compedge.verify
 from compedge.formulas import ass_infinity
@@ -49,7 +51,7 @@ from compedge.resolution import (
     reg_pd_depth,
 )
 from compedge.verify import (
-    DEFAULT_DIVISOR_LIMIT,
+    ALL_CHECKS,
     SweepConfig,
     _colon_exceeds_power,
     _GraphState,
@@ -139,7 +141,7 @@ class TestAssOracle:
             ass_oracle(unit_ideal(2))
 
     def test_divisor_limit(self, monkeypatch):
-        monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 10)
+        monkeypatch.setattr(compedge.ideals, "BOX_CELL_LIMIT", 10)
         I = I_("(x1^3*x2^3, x3^3*x4^3)", 4)
         with pytest.raises(LimitExceededError):
             ass_oracle(I)
@@ -346,7 +348,7 @@ class TestTableColons:
         assert outcomes[True] and outcomes[False]
 
     def test_oversized_box_is_a_limit_skip(self, monkeypatch):
-        monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 10)
+        monkeypatch.setattr(compedge.ideals, "BOX_CELL_LIMIT", 10)
         new_process()
         cfg = SweepConfig(k_max=2, checks=("strong-persistence", "symbolic"))
         rpt = run_graph_checks(complete_graph(4), cfg)
@@ -437,8 +439,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "check, module, limit, reason",
         [
-            ("ass", compedge.verify, "DEFAULT_DIVISOR_LIMIT", "divisor box has 16 cells, limit 1"),
-            ("reg", compedge.resolution, "BOX_CELL_LIMIT", "divisor box has 16 cells, limit 1"),
+            ("ass", compedge.ideals, "BOX_CELL_LIMIT", "divisor box has 16 cells, limit 1"),
             ("reg", compedge.resolution, "DEFAULT_LATTICE_LIMIT", "lcm lattice has 9 points, limit 1"),
         ],
     )
@@ -452,6 +453,33 @@ class TestSweep:
         assert (rpt.summary, rpt.skipped) == ({check: None}, {check: f"limit: {reason}"})
         monkeypatch.undo()
         assert run_graph_checks(copy, cfg).summary == {check: True}
+        new_process()
+
+    def test_one_lowered_limit_skips_every_box_check_of_a_class_seen_before(self, monkeypatch):
+        # every check but localization reads a divisor-count table, and one
+        # box limit guards them all
+        new_process()
+        cfg = SweepConfig(k_max=3)
+        first = run_graph_checks(cycle_graph(4), cfg)
+        assert set(first.summary) == set(ALL_CHECKS)
+        assert not any(r.startswith("limit:") for r in first.skipped.values())
+        monkeypatch.setattr(compedge.ideals, "BOX_CELL_LIMIT", 1)
+        rpt = run_graph_checks(Graph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)]), cfg)
+        boxed = [c for c in ALL_CHECKS if c != "localization"]
+        assert rpt.summary == {**dict.fromkeys(boxed), "localization": True}
+        assert sorted(rpt.skipped) == sorted(boxed)
+        assert all(re.fullmatch(r"limit: divisor box has \d+ cells, limit 1", r) for r in rpt.skipped.values())
+        new_process()
+
+    def test_class_records_hold_no_tables(self, edged_classes):
+        # the localization check keeps its mismatched subsets, not the
+        # oracle's (2^n - 1) x 2^n table
+        new_process()
+        sweep(5, SweepConfig(k_max=1, checks=("localization",)), n_min=5)
+        records = [compedge.verify._class_memo(canon) for canon in edged_classes[5]]
+        assert compedge.verify._class_memo.cache_info().currsize == len(records) == 33
+        assert all(records)
+        assert not any(isinstance(v, np.ndarray) for record in records for v in record.values())
         new_process()
 
     def test_default_lq_limit_covers_the_n4_cubes(self):
@@ -661,11 +689,11 @@ class TestWitnessKernel:
     def test_lowered_limit_applies_to_a_memoized_ideal(self, monkeypatch):
         I2 = power(complementary_edge_ideal(cycle_graph(5)), 2)
         ass = ass_oracle(I2)
-        monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 10)
+        monkeypatch.setattr(compedge.ideals, "BOX_CELL_LIMIT", 10)
         for oracle in (ass_oracle, v_oracle, depth_zero_oracle):
             with pytest.raises(LimitExceededError, match="divisor box has 243 cells, limit 10"):
                 oracle(I2)
-        monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", DEFAULT_DIVISOR_LIMIT)
+        monkeypatch.undo()
         assert ass_oracle(I2) == ass
 
     def test_an_equal_ideal_is_scanned_once(self):
@@ -790,8 +818,11 @@ class TestClassMemo:
     the oracle run directly on the graph's own ideal, under the default
     limits and then under tight ones that make some oracles raise."""
 
-    def direct(self, I, k, cfg):
+    def direct(self, g, k, cfg):
+        I = complementary_edge_ideal(g)
         Ik = power(I, k)
+        subsets = np.arange(1, 1 << g.n)
+        mismatched = _localization_supports(I, subsets) != compedge.formulas.localization_table(g, subsets)
         p = cfg.primes[0]
 
         def witnesses():
@@ -812,7 +843,7 @@ class TestClassMemo:
             "betti-field-independence": outcome(_same_betti_tables, Ik, cfg.primes),
             "symbolic": outcome(_symbolic_equals_ordinary, I, power(I, 2), 2),
             "strong-persistence": outcome(strong_persistence),
-            "localization": _localization_supports(I, np.arange(1, 1 << I.ambient)).tolist(),
+            "localization": tuple(subsets[mismatched.any(axis=1)].tolist()),
         }
 
     def memoized(self, st, k):
@@ -827,7 +858,7 @@ class TestClassMemo:
             "betti-field-independence": outcome(st.same_betti_tables, k),
             "symbolic": outcome(st.symbolic),
             "strong-persistence": outcome(st.strong_persistence),
-            "localization": st.localization().tolist(),
+            "localization": st.localization_mismatches(),
         }
 
     def test_memo_equals_direct_oracles(self, edged_census, monkeypatch):
@@ -839,17 +870,17 @@ class TestClassMemo:
         cases += [(relabeled(g, rng), 2) for g in (complete_graph(7), cycle_graph(7), path_graph(7))]
         mismatches, limits = [], Counter()
         for tight in (False, True):
-            # the divisor limit is a module constant, so each pass lowers it
-            # or not and starts from an empty class memo
+            # the box limit is a module constant, so each pass lowers it or
+            # not and starts from an empty class memo
             if tight:
-                monkeypatch.setattr(compedge.verify, "DEFAULT_DIVISOR_LIMIT", 30)
+                monkeypatch.setattr(compedge.ideals, "BOX_CELL_LIMIT", 30)
             new_process()
             for g, k_max in cases:
                 cfg = SweepConfig(k_max=k_max, primes=(3, 2), lq_limit=4) if tight else SweepConfig(k_max=k_max)
                 st = _GraphState(g, cfg)
-                canon, labeled = complementary_edge_ideal(st.canon), complementary_edge_ideal(g)
+                labeled = complementary_edge_ideal(g)
                 for k in range(1, k_max + 1):
-                    want = self.direct(canon, k, cfg)
+                    want = self.direct(st.canon, k, cfg)
                     got = self.memoized(st, k)
                     want["labeled_ass"] = outcome(lambda: printed(ass_oracle(power(labeled, k))))
                     got["labeled_ass"] = outcome(lambda: st.names(st.witnesses(k)[0]))
