@@ -60,13 +60,6 @@ class Graph:
         touched = {v for e in self.edges for v in e}
         return frozenset(v for v in range(self.n) if v not in touched)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        degs = [0] * self.n
-        for i, j in self.edges:
-            degs[i] += 1
-            degs[j] += 1
-        return tuple(sorted(degs))
-
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges as sorted 1-based pairs, for display and serialization."""
         return [(i + 1, j + 1) for i, j in sorted(self.edges)]

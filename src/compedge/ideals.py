@@ -119,16 +119,6 @@ class MonomialIdeal:
             raise ValueError("zero ideal has no initial degree")
         return int(self.exponents[0].sum())
 
-    @property
-    def maxdeg(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero ideal has no generator degrees")
-        return int(self.exponents[-1].sum())
-
-    def mu(self, j: int) -> int:
-        """Number of minimal generators of total degree j."""
-        return int(np.count_nonzero(self.exponents.sum(axis=1) == j))
-
     def generator_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.exponents.sum(axis=1).tolist())))
 
@@ -366,6 +356,9 @@ class BigDegreeCase(enum.Enum):
 
 @dataclass(frozen=True)
 class CaseClassification:
+    """A case of the trichotomy: ``graph`` is that of the degree-(n-2)
+    generators, and ``degree_n1_vars`` the i with x_[n]/x_i a generator."""
+
     case: BigDegreeCase
     ambient: int
     graph: Graph | None = None
@@ -400,15 +393,15 @@ def classify_big_degree(I: MonomialIdeal) -> CaseClassification:
         if complementary_edge_ideal(g) != I:
             raise ValueError("reconstruction mismatch: ideal is not I_c of its graph")
         return CaseClassification(BigDegreeCase.COMPLEMENTARY_EDGE, n, graph=g)
+    degrees = I.exponents.sum(axis=1)
+    # each degree-(n-1) generator omits one variable
+    iso_vars = frozenset(np.nonzero(I.exponents[degrees == n - 1] == 0)[1].tolist())
     if degs == (n - 1,) or degs == (n,):
         return CaseClassification(
-            BigDegreeCase.MATROIDAL_VERONESE, n, veronese_degree=degs[0]
+            BigDegreeCase.MATROIDAL_VERONESE, n, degree_n1_vars=iso_vars, veronese_degree=degs[0]
         )
     if degs == (n - 2, n - 1):
-        degrees = I.exponents.sum(axis=1)
         graph = _graph_of_omitted_pairs(I.exponents[degrees == n - 2], n)
-        # each degree-(n-1) generator omits one variable
-        iso_vars = frozenset(np.nonzero(I.exponents[degrees == n - 1] == 0)[1].tolist())
         stray = sorted(iso_vars - graph.isolated_vertices)
         if stray:
             raise ValueError(

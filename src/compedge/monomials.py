@@ -42,19 +42,6 @@ class Monomial:
         return frozenset(i for i, e in enumerate(self.exponents) if e > 0)
 
     @property
-    def support_mask(self) -> int:
-        """Support as a bitmask; fast path for squarefree manipulations."""
-        m = 0
-        for i, e in enumerate(self.exponents):
-            if e > 0:
-                m |= 1 << i
-        return m
-
-    def deg_of(self, i: int) -> int:
-        """Exponent of variable i (the largest j with x_i^j dividing self)."""
-        return self.exponents[i]
-
-    @property
     def is_one(self) -> bool:
         return all(e == 0 for e in self.exponents)
 

@@ -17,32 +17,38 @@ raises :class:`LimitExceededError`, which the sweep records as a skip; the
 limit is read at call time and checked against the lcm box before the scan's
 memo is looked up, so it is no part of a scan result.
 
-The sweep runs every check on the canonical form of the graph's
-isomorphism class (:func:`compedge.graphs.canonical_form`): the oracles, on
-the powers of I_c of the canonical form, and the closed forms, each once per
-class in a process.  A process keeps one record per canonical graph.  It
-holds the oracle results on those powers, keyed by the operation, k, its
-parameters and the limits in force (``ideals.BOX_CELL_LIMIT`` and
-``resolution.DEFAULT_LATTICE_LIMIT``, read at call time), so a lowered limit
-skips a check whether or not the class was seen before.  It holds the closed
-forms' values too, keyed by the form's name and its arguments other than the
-graph, and for the localization check only the subsets where the two tables
-differ.  It is the only result store, and nothing outlives the process.  The
-powers themselves are built on a miss and dropped with the labeled graph.
-The paper's statements are invariant under relabeling vertices, so a labeled
-graph only names the vertex sets its report prints, through one table of
-every bitmask of the graph, and builds its own I_c(G) only to report
-field-dependent Betti tables.  Reports list vertex sets by size, then
-lexicographically.
+One verification path, :func:`run_graph_checks`, takes a graph or an ideal
+of the degree >= n - 2 trichotomy of :func:`ideals.classify_big_degree`; a
+mixed or matroidal ideal takes only the checks whose closed forms cover it.
+The sweep walks graphs.  Every check runs on the canonical form of the
+isomorphism class (:func:`compedge.graphs.canonical_form`, then the marked
+isolated variables of a mixed or matroidal ideal moved to the lowest
+isolated labels): the oracles, on the powers of the canonical ideal, and
+the closed forms, each once per class in a process.  A process keeps one record per canonical
+classification.  It holds the oracle results on those powers, keyed by the
+operation, k, its parameters and the limits in force
+(``ideals.BOX_CELL_LIMIT`` and ``resolution.DEFAULT_LATTICE_LIMIT``, read at
+call time), so a lowered limit skips a check whether or not the class was
+seen before.  It holds the closed forms' values too, keyed by the form's
+name and its arguments other than the graph or classification, and for the
+localization check only the subsets where the two tables differ.  It is the
+only result store, and nothing outlives the process.  The powers themselves
+are built on a miss and dropped with the labeled input.  The paper's
+statements are invariant under relabeling vertices, so a labeled graph only
+names the vertex sets its report prints, through one table of every bitmask
+of the graph, and builds its own ideal only to report field-dependent Betti
+tables.  Reports list vertex sets by size, then lexicographically.
 
 Strong persistence, I^(k+1) : I = I^k, and the symbolic-power identity
-I^(k) = I^k are decided on the same table, as membership over one box,
-without building the colon ideal or the symbolic power.
+I^(k) = I^k are decided on the same table, as membership, without building
+the colon ideal or the symbolic power; strong persistence builds one table
+per power, on its own lcm box.
 
 The localization check compares two tables of the canonical form, one row
 per nonempty vertex subset F and one column per support bitmask: the
 minimal generator supports of the localization of I_c at P_F, read off the
 generators of I_c, against :func:`compedge.formulas.localization_table`.
+Tables of more than ``ideals.BOX_CELL_LIMIT`` cells are refused.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -64,7 +70,9 @@ from .ideals import (
     LimitExceededError,
     MonomialIdeal,
     _box_shape,
+    _generated_by,
     _require_int,
+    classify_big_degree,
     complementary_edge_ideal,
     divisor_counts,
     localize,
@@ -273,21 +281,25 @@ class StrongPersistenceResult:
     first_failure: int | None
 
 
-def _colon_exceeds_power(I: MonomialIdeal, Ik: MonomialIdeal, Ik1: MonomialIdeal) -> bool:
-    """True iff I^(k+1) : I is strictly larger than I^k.
+def _colon_exceeds_power(I: MonomialIdeal, low: np.ndarray, high: np.ndarray) -> bool:
+    """True iff I^(k+1) : I is strictly larger than I^k, given the
+    divisor-count tables ``low`` of I^k and ``high`` of I^(k+1), each on the
+    divisor box of its own lcm.
 
     I^k is always contained in the colon, so it is larger exactly when some
     u outside I^k has x^(u+g) in I^(k+1) for every generator g of I.  Both
     ideals are generated inside the box B of the larger lcm, so u ranges
     over B, and u + g is clipped at B, which keeps membership in I^(k+1).
-    The clip is an edge padding of the membership table, so the table at
-    u + g is a shifted view of the padded one.
+    A cell past a table's box counts what the cell clipped to the box
+    counts, since every generator lies in its own lcm box: so each table is
+    edge-padded to B, and the clip is one more edge padding, which makes the
+    table at u + g a shifted view of the padded one.
     """
-    bound = np.maximum(Ik.exponents.max(axis=0), Ik1.exponents.max(axis=0)).tolist()
-    box = Monomial(tuple(bound))
-    escaped = divisor_counts(Ik, box) == 0
-    member = divisor_counts(Ik1, box) > 0
-    padded = np.pad(member, [(0, e) for e in I.exponents.max(axis=0).tolist()], mode="edge")
+    bound = np.maximum(low.shape, high.shape) - 1
+    _box_shape(Monomial(tuple(bound.tolist())))
+    escaped = np.pad(low == 0, [(0, b) for b in bound + 1 - low.shape], mode="edge")
+    pads = bound + 1 - high.shape + I.exponents.max(axis=0)
+    padded = np.pad(high > 0, [(0, b) for b in pads], mode="edge")
     for g in I.exponents.tolist():
         escaped &= padded[tuple(slice(e, e + b + 1) for e, b in zip(g, bound))]
     return bool(escaped.any())
@@ -296,9 +308,11 @@ def _colon_exceeds_power(I: MonomialIdeal, Ik: MonomialIdeal, Ik1: MonomialIdeal
 def _strong_persistence(
     I: MonomialIdeal, powers: Iterable[MonomialIdeal]
 ) -> StrongPersistenceResult:
-    """Strong persistence along ``powers``, which yields I, I^2, ..., I^(k_max+1)."""
-    for k, (Ik, Ik1) in enumerate(itertools.pairwise(powers), start=1):
-        if _colon_exceeds_power(I, Ik, Ik1):
+    """Strong persistence along ``powers``, which yields I, I^2, ..., I^(k_max+1),
+    from one divisor-count table per power."""
+    tables = (divisor_counts(P, P.lcm_of_generators()) for P in powers)
+    for k, (low, high) in enumerate(itertools.pairwise(tables), start=1):
+        if _colon_exceeds_power(I, low, high):
             return StrongPersistenceResult(False, k)
     return StrongPersistenceResult(True, None)
 
@@ -309,9 +323,9 @@ def strong_persistence_check(
     """Check the ideal identity I^(k+1) : I = I^k for k = 1..k_max.
 
     Each identity is decided on the divisor-count tables of I^k and
-    I^(k+1) over one box.  Whether it always holds for complementary edge
-    ideals is open; the result is recorded as an observation, never
-    asserted.
+    I^(k+1), each built once on its own lcm box.  Whether it always holds
+    for complementary edge ideals is open; the result is recorded as an
+    observation, never asserted.
     """
     _require_proper(I)
     _require_int("k_max", k_max, 1)
@@ -342,7 +356,11 @@ def _symbolic_equals_ordinary(I: MonomialIdeal, Ik: MonomialIdeal, k: int) -> bo
 
 @dataclass
 class VerificationReport:
+    """The checks on one graph, or on one ideal other than I_c(G), whose
+    ``graph`` is that of its degree-(n-2) generators."""
+
     graph: Graph
+    ideal: MonomialIdeal | None = None
     per_k: dict[int, dict] = field(default_factory=dict)
     summary: dict[str, bool | None] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)
@@ -366,6 +384,7 @@ class VerificationReport:
             "skipped": self.skipped,
             "timings_ms": {k: round(v, 3) for k, v in self.timings_ms.items()},
             "details": self.details,
+            **({} if self.ideal is None else {"ideal": self.ideal.to_json_dict()}),
         }
 
 
@@ -382,12 +401,12 @@ def _report_order(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 @lru_cache(maxsize=2048)
-def _class_memo(canon: Graph) -> dict[tuple, object]:
+def _class_memo(cls: CaseClassification) -> dict[tuple, object]:
     """The oracle results and closed-form values of one isomorphism class in
-    this process, shared by every labeled graph of the class.  They are
-    immutable, so every caller can share them.  The bound holds all 1252
-    classes on at most 7 vertices; past it the least recently used class is
-    dropped."""
+    this process, keyed by its canonical classification and shared by every
+    labeled graph or ideal of the class.  They are immutable, so every
+    caller can share them.  The bound holds all 1252 classes on at most 7
+    vertices; past it the least recently used class is dropped."""
     return {}
 
 
@@ -397,35 +416,67 @@ def _same_betti_tables(I: MonomialIdeal, primes: tuple[int, ...]) -> bool:
     return all(all(map(np.array_equal, r, rows[0])) for r in rows[1:])
 
 
-class _GraphState:
-    """Lazily computed shared state for one sweep graph.
+# the cases other than complementary edge ideals that a check applies to
+_OTHER_CASES = dict.fromkeys(
+    ("reg", "depth-monotone", "linear", "betti-field-independence"),
+    (BigDegreeCase.MIXED, BigDegreeCase.MATROIDAL_VERONESE),
+) | {"depth-stable": (BigDegreeCase.MIXED,)}
 
-    Every check runs on the canonical form ``canon`` of the graph's
-    isomorphism class, and its case classification ``cls``, which it has by
-    construction.  The oracles run once per class in a process
-    (``_class_memo``), on the powers of I_c of the canonical form, which a
-    labeled graph builds only on a miss and drops when it is done.  Every
-    closed form a check reads is evaluated once per class too, in the same
-    record (:meth:`closed_form`), and never reads an oracle result.  The
-    labeled graph only names the vertex sets a report prints: they are
+
+class _GraphState:
+    """Lazily computed shared state for one graph, or one ideal of the
+    trichotomy, classified once; a complementary edge ideal is its graph.
+
+    Every check runs on the canonical form of the isomorphism class, with
+    its classification ``cls``.  One vertex permutation gives it: the
+    canonical form of the graph of the degree-(n-2) generators (edgeless in
+    the matroidal case), then the marked variables ``degree_n1_vars``, all
+    isolated, moved to the lowest isolated labels.  The oracles run once per
+    class in a process (``_class_memo``, keyed by ``cls``), on the powers
+    of the canonical ideal, which a labeled graph or ideal builds only on a
+    miss.  Every closed form a check reads is evaluated once per class too,
+    in the same record (:meth:`closed_form`), and never reads an oracle
+    result.  A labeled graph only names the vertex sets a report prints:
     bitmasks of the canonical form, mapped through one table of every
     bitmask (``to_labeled``), built only when a check prints one.  Each
-    power is scanned for prime colon witnesses once; the Ass, v,
-    persistence and entry-bound checks all read that one result.  Oracle
-    results are keyed by ``ideals.BOX_CELL_LIMIT`` and
+    power is scanned for prime colon witnesses once, for the Ass, v,
+    persistence and entry-bound checks.  Every oracle result, localization's
+    too, is keyed by ``ideals.BOX_CELL_LIMIT`` and
     ``resolution.DEFAULT_LATTICE_LIMIT`` as read at call time, so a lowered
     limit skips every box check of a class seen before.  The record holds no
     table: the localization check keeps only its mismatched subsets.
     """
 
-    def __init__(self, g: Graph, cfg: SweepConfig):
-        self.g = g
+    def __init__(self, source: Graph | MonomialIdeal, cfg: SweepConfig):
         self.cfg = cfg
-        self.canon, perm = canonical_form(g)
-        self.cls = CaseClassification(BigDegreeCase.COMPLEMENTARY_EDGE, g.n, graph=self.canon)
+        self.ideal = cls = None
+        if isinstance(source, MonomialIdeal):
+            cls = classify_big_degree(source)
+            if cls.case is BigDegreeCase.COMPLEMENTARY_EDGE:
+                source, cls = cls.graph, None
+            else:
+                outside = [c for c in cfg.checks if cls.case not in _OTHER_CASES.get(c, ())]
+                if outside or cls.case is BigDegreeCase.NOT_APPLICABLE:
+                    raise ValueError(f"checks {outside} do not apply to the {cls.case.value} case")
+                self.ideal = source
+                source = cls.graph if cls.graph is not None else Graph(cls.ambient, frozenset())
+        else:
+            formulas._require_formula_hypotheses(source)
+        self.g = source
+        self.canon, perm = canonical_form(source)
+        if cls is None:
+            self.cls = CaseClassification(BigDegreeCase.COMPLEMENTARY_EDGE, source.n, graph=self.canon)
+        else:
+            # the marked variables are isolated: move them to the lowest isolated labels
+            marked = {perm[i] for i in cls.degree_n1_vars}
+            isolated = sorted(self.canon.isolated_vertices)
+            moved = dict(zip(sorted(isolated, key=lambda v: v not in marked), isolated))
+            perm = tuple(moved.get(p, p) for p in perm)
+            graph = self.canon if cls.graph is not None else None
+            self.cls = replace(cls, graph=graph, degree_n1_vars=frozenset(isolated[: len(marked)]))
         # inverse[perm[i]] == i: canonical vertex j is labeled vertex inverse[j]
-        self.inverse = tuple(sorted(range(g.n), key=perm.__getitem__))
-        self._results = _class_memo(self.canon)
+        self.inverse = tuple(sorted(range(self.g.n), key=perm.__getitem__))
+        self._results = _class_memo(self.cls)
         self._powers: list[MonomialIdeal] = []
 
     @cached_property
@@ -447,9 +498,14 @@ class _GraphState:
         return [list(names[m]) for m in sorted(labeled, key=rank.__getitem__)]
 
     def power(self, k: int) -> MonomialIdeal:
-        """The k-th power of I_c of the canonical form."""
+        """The k-th power of I_c of the canonical form, or of the ideal with
+        its variables permuted as the canonical form's."""
         if not self._powers:
-            self._powers.append(complementary_edge_ideal(self.canon))
+            if self.ideal is None:
+                first = complementary_edge_ideal(self.canon)
+            else:
+                first = _generated_by(self.g.n, self.ideal.exponents[:, list(self.inverse)])
+            self._powers.append(first)
         while len(self._powers) < k:
             self._powers.append(multiply(self._powers[-1], self._powers[0]))
         return self._powers[k - 1]
@@ -493,10 +549,15 @@ class _GraphState:
         """The canonical vertex bitmasks F whose row of
         :func:`compedge.formulas.localization_table` differs from
         :func:`_localization_supports` of I_c of the canonical form, kept per
-        class; neither table is."""
-        key = ("localization_table",)
+        class under the box limit in force; neither table is.  Tables of
+        more than ``ideals.BOX_CELL_LIMIT`` cells are refused."""
+        n, limit = self.g.n, ideals.BOX_CELL_LIMIT
+        key = ("localization_table", limit)
         if key not in self._results:
-            subsets = np.arange(1, 1 << self.g.n)
+            cells = ((1 << n) - 1) << n
+            if cells > limit:
+                raise LimitExceededError(f"localization table has {cells} cells, limit {limit}")
+            subsets = np.arange(1, 1 << n)
             oracle = _localization_supports(self.power(1), subsets)
             formula = formulas.localization_table(self.canon, subsets)
             self._results[key] = tuple(subsets[(oracle != formula).any(axis=1)].tolist())
@@ -702,7 +763,7 @@ def _check_betti_field_independence(
         same = st.same_betti_tables(k)
         ok = ok and same
         if not same:
-            Ik = power(complementary_edge_ideal(st.g), k)
+            Ik = power(complementary_edge_ideal(st.g) if st.ideal is None else st.ideal, k)
             rpt.details.setdefault("betti-field-independence", {})[str(k)] = {
                 str(p): betti_table(Ik, p).to_json_dict() for p in st.cfg.primes
             }
@@ -781,14 +842,18 @@ class SweepConfig:
         object.__setattr__(self, "checks", tuple(selected))
 
 
-def run_graph_checks(g: Graph, cfg: SweepConfig) -> VerificationReport:
-    """Run the selected checks on one graph, degrading to per-check skips
-    on limit or budget overruns rather than aborting.  The graph must meet
-    the closed forms' hypotheses, n >= 3 and at least one edge."""
-    formulas._require_formula_hypotheses(g)
-    rpt = VerificationReport(graph=g)
+def run_graph_checks(source: Graph | MonomialIdeal, cfg: SweepConfig) -> VerificationReport:
+    """Run the selected checks on one graph or one ideal, degrading to
+    per-check skips on limit or budget overruns rather than aborting.
+
+    A graph must meet the closed forms' hypotheses, n >= 3 and an edge.  An
+    ideal must lie in the trichotomy of :func:`classify_big_degree`, and a
+    check on it in the cases ``_OTHER_CASES`` gives it, or in the
+    complementary-edge case, where the ideal is checked as its graph; else
+    ``ValueError`` is raised before any check runs."""
     start = time.perf_counter()
-    st = _GraphState(g, cfg)
+    st = _GraphState(source, cfg)
+    rpt = VerificationReport(graph=st.g, ideal=st.ideal)
     for name in cfg.checks:
         t0 = time.perf_counter()
         if cfg.budget_ms is not None and (t0 - start) * 1000.0 > cfg.budget_ms:
@@ -852,7 +917,8 @@ def markdown_summary(reports: list[VerificationReport]) -> str:
                 detail = json.dumps(rpt.details.get(name, {}), sort_keys=True)
                 if len(detail) > 120:
                     detail = detail[:117] + "..."
-                failures.append((to_graph6(rpt.graph), name, detail))
+                label = to_graph6(rpt.graph) if rpt.ideal is None else str(rpt.ideal)
+                failures.append((label, name, detail))
             else:
                 row[2] += 1
     lines = [

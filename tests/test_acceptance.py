@@ -2,13 +2,14 @@
 scale, with exact (tolerance-zero) equality of the discrete invariants.
 
 One test per criterion; each prints a single `criterion N: PASS/FAIL` line.
-The graph criteria assert over the reports of the census sweep, the same
-verification path as ``compedge sweep``: two session-scoped sweeps of the
-n <= 5 census, one for the colon-witness checks and one for the homology
-checks, feed most of them.  The mixed-degree and squarefree Veronese ideals
-are not I_c(G) of any graph, so the sweep cannot take them; criteria 6, 7
-and 9 check those with library loops, and criterion 12 fuzzes random
-ideals.  Random subsamples are seeded and reproducible.
+Every criterion but criterion 12, which fuzzes the oracles on random
+ideals, asserts over reports of ``run_graph_checks``, the verification path
+of ``compedge sweep``.  Two session-scoped sweeps of the n <= 5 census, one
+for the colon-witness checks and one for the homology checks, feed most of
+them.  The mixed-degree and squarefree Veronese ideals are not I_c(G) of
+any graph, so ``run_graph_checks`` takes them as ideals, and two more
+session fixtures hold their reports for criteria 6, 7 and 9.  Random
+subsamples are seeded and reproducible.
 """
 
 import itertools
@@ -16,20 +17,9 @@ import random
 
 import pytest
 
-from compedge.formulas import linear_powers_predicate
 from compedge.graphs import enumerate_labeled_graphs, matching_graph, to_graph6
-from compedge.ideals import (
-    classify_big_degree,
-    ideal,
-    minimal_primes_squarefree,
-    power,
-)
+from compedge.ideals import ideal, minimal_primes_squarefree
 from compedge.monomials import Monomial
-from compedge.resolution import (
-    has_linear_quotients,
-    is_componentwise_linear,
-    reg_pd_depth,
-)
 from compedge.verify import (
     SweepConfig,
     ass_oracle,
@@ -69,6 +59,20 @@ def veronese_family():
             ]
             out.append(ideal(gens, n))
     return out
+
+
+@pytest.fixture(scope="session")
+def mixed_reports(mixed_family):
+    """reg, depth, stable depth and linear powers at k <= 3 on the mixed ideals."""
+    cfg = SweepConfig(k_max=3, checks=("reg", "depth-monotone", "depth-stable", "linear"))
+    return [run_graph_checks(I, cfg) for _, I in mixed_family]
+
+
+@pytest.fixture(scope="session")
+def veronese_reports(veronese_family):
+    """Depth and linear powers at k <= 3 on the squarefree Veronese ideals."""
+    cfg = SweepConfig(k_max=3, checks=("depth-monotone", "linear"))
+    return [run_graph_checks(I, cfg) for I in veronese_family]
 
 
 def _ass(rpt, k: int) -> set[tuple[int, ...]]:
@@ -172,41 +176,32 @@ def test_criterion_5_regularity_closed_form(homology_reports):
     )
 
 
-def test_criterion_6_mixed_ideals(mixed_family):
-    from compedge.graphs import component_summary
-
-    reg_bad = []
-    depth_bad = []
-    for g, I in mixed_family:
-        n = g.n
-        for k in (1, 2, 3):
-            if reg_pd_depth(power(I, k)).regularity != (n - 1) * k:
-                reg_bad.append((to_graph6(g), k))
-        want_depth = component_summary(g).b - len(g.isolated_vertices)
-        got_depth = reg_pd_depth(power(I, n - 2)).depth
-        if got_depth != want_depth:
-            depth_bad.append((to_graph6(g), got_depth, want_depth))
+def test_criterion_6_mixed_ideals(mixed_reports):
+    # the reg row of a skipped ideal is absent, and so a KeyError; a skipped
+    # depth-stable check counts as bad
+    reg_bad = [
+        (str(r.ideal), k)
+        for r in mixed_reports
+        for k in (1, 2, 3)
+        if r.per_k[k]["reg_oracle"] != r.per_k[k]["reg_formula"]
+    ]
+    depth_bad = [str(r.ideal) for r in mixed_reports if r.summary["depth-stable"] is not True]
     ok = not reg_bad and not depth_bad
     _verdict(
         6,
         ok,
-        f"{len(mixed_family)} mixed ideals: reg (n-1)k k<=3 "
+        f"{len(mixed_reports)} mixed ideals: reg (n-1)k k<=3 "
         f"({len(reg_bad)} bad), stabilized depth b(G)-mu ({len(depth_bad)} bad)",
     )
 
 
-def test_criterion_7_depth_monotonicity(homology_reports, mixed_family, veronese_family):
-    ideals = [I for _, I in mixed_family] + veronese_family
-    bad = sum(1 for r in homology_reports if r.summary["depth-monotone"] is not True)
-    for I in ideals:
-        depths = [reg_pd_depth(power(I, k)).depth for k in (1, 2, 3)]
-        if not all(depths[i] >= depths[i + 1] for i in range(2)):
-            bad += 1
-    total = len(homology_reports) + len(ideals)
+def test_criterion_7_depth_monotonicity(homology_reports, mixed_reports, veronese_reports):
+    reports = homology_reports + mixed_reports + veronese_reports
+    bad = sum(1 for r in reports if r.summary["depth-monotone"] is not True)
     _verdict(
         7,
         bad == 0,
-        f"depth S/I^k non-increasing for k=1..3 on {total} ideals ({bad} violations)",
+        f"depth S/I^k non-increasing for k=1..3 on {len(reports)} ideals ({bad} violations)",
     )
 
 
@@ -231,31 +226,22 @@ def test_criterion_8_betti_field_independence(homology_reports):
 
 
 def test_criterion_9_linear_powers_equivalences(
-    homology_reports, mixed_family, veronese_family
+    homology_reports, mixed_reports, veronese_reports
 ):
-    ideals = [I for _, I in mixed_family] + veronese_family
+    reports = homology_reports + mixed_reports + veronese_reports
     disagreements = []
-    for r in homology_reports:
+    for r in reports:
         linear = r.details["linear"]  # absent, and so a KeyError, if skipped
         disagreements += [
-            (to_graph6(r.graph), k)
+            (to_graph6(r.graph), str(r.ideal), k)
             for k, row in linear["per_k"].items()
             if not (row["linear_quotients"] == row["componentwise_linear"] == linear["predicted"])
         ]
-    for I in ideals:
-        predicted = linear_powers_predicate(classify_big_degree(I))
-        for k in (1, 2, 3):
-            Ik = power(I, k)
-            lq, _ = has_linear_quotients(Ik)
-            cl = is_componentwise_linear(Ik)
-            if not (lq == cl == predicted):
-                disagreements.append((str(I), k, lq, cl, predicted))
-    total = len(homology_reports) + len(ideals)
     _verdict(
         9,
         not disagreements,
         f"linear-quotients / componentwise-linear / c(G)=1 agree pairwise for "
-        f"k<=3 on {total} ideals ({len(disagreements)} disagreements)",
+        f"k<=3 on {len(reports)} ideals ({len(disagreements)} disagreements)",
     )
 
 

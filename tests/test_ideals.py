@@ -453,6 +453,14 @@ class TestClassification:
         )
         assert cls.case is BigDegreeCase.MATROIDAL_VERONESE
         assert cls.veronese_degree == 3
+        assert cls.degree_n1_vars == {0, 1, 2, 3}
+
+    def test_matroidal_case_records_the_omitted_variables(self):
+        # so that the classification tells (x1x2x3, x1x2x4) from V(4,3)
+        cls = classify_big_degree(I_("(x1*x2*x3, x1*x2*x4)", 4))
+        assert cls.case is BigDegreeCase.MATROIDAL_VERONESE
+        assert (cls.graph, cls.degree_n1_vars, cls.veronese_degree) == (None, {2, 3}, 3)
+        assert classify_big_degree(I_("(x1*x2*x3*x4)", 4)).degree_n1_vars == frozenset()
 
     def test_not_applicable(self):
         cls = classify_big_degree(I_("(x1)", 4))
@@ -489,14 +497,6 @@ class TestGradedComponent:
         for u in divisors(parse_monomial("x1^3*x2^3*x3^3*x4^3", 4)):
             if u.degree == 3:
                 assert (u in C) == (u in I)
-
-
-class TestMu:
-    def test_examples(self):
-        I = I_("(x1*x2, x1*x3*x4)", 4)
-        assert I.mu(2) == 1 and I.mu(3) == 1 and I.mu(4) == 0
-        assert complementary_edge_ideal(cycle_graph(4)).mu(2) == 4
-        assert zero_ideal(3).mu(2) == 0
 
 
 def _ref_minimal_primes(I):

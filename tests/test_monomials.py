@@ -48,8 +48,6 @@ class TestBasics:
         u = m(2, 0, 1)
         assert u.degree == 3
         assert u.support == {0, 2}
-        assert u.support_mask == 0b101
-        assert u.deg_of(0) == 2 and u.deg_of(1) == 0
         assert not u.is_squarefree and m(1, 0, 1).is_squarefree
 
 

@@ -25,8 +25,11 @@ from compedge.graphs import (
     matching_graph,
     path_graph,
     vertex_set,
+    with_isolated,
 )
 from compedge.ideals import (
+    BigDegreeCase,
+    CaseClassification,
     LimitExceededError,
     colon,
     colon_ideal,
@@ -292,6 +295,21 @@ class TestStrongPersistence:
         res = strong_persistence_check(gap_family(a), 3)
         assert (res.holds, res.first_failure) == ((True, None) if a == 3 else (False, 1))
 
+    def test_one_table_per_power(self, monkeypatch):
+        # k_max = 3 reads I, I^2, I^3 and I^4: each middle power's table
+        # serves both of its colons
+        shapes = []
+        counts = compedge.verify.divisor_counts
+
+        def counting(I, bound):
+            shapes.append(bound)
+            return counts(I, bound)
+
+        monkeypatch.setattr(compedge.verify, "divisor_counts", counting)
+        I = complementary_edge_ideal(cycle_graph(5))
+        assert strong_persistence_check(I, 3).holds
+        assert shapes == [power(I, k).lcm_of_generators() for k in (1, 2, 3, 4)]
+
     def test_k7_cubes_through_the_sweep(self):
         cfg = SweepConfig(k_max=3, checks=("strong-persistence",))
         rpt = run_graph_checks(complete_graph(7), cfg)
@@ -331,7 +349,8 @@ class TestTableColons:
             for k in (1, 2):
                 Ik, Ik1 = powers[k - 1], powers[k]
                 ref = colon_ideal(Ik1, I) != Ik
-                assert _colon_exceeds_power(I, Ik, Ik1) == ref, (str(I), k)
+                tables = [divisor_counts(P, P.lcm_of_generators()) for P in (Ik, Ik1)]
+                assert _colon_exceeds_power(I, *tables) == ref, (str(I), k)
                 failures += ref
         assert failures >= 6  # the gap family and CLIPPED_GAPS fail at k = 1
 
@@ -457,7 +476,7 @@ class TestSweep:
 
     def test_one_lowered_limit_skips_every_box_check_of_a_class_seen_before(self, monkeypatch):
         # every check but localization reads a divisor-count table, and one
-        # box limit guards them all
+        # box limit guards them all and the localization tables too
         new_process()
         cfg = SweepConfig(k_max=3)
         first = run_graph_checks(cycle_graph(4), cfg)
@@ -465,10 +484,23 @@ class TestSweep:
         assert not any(r.startswith("limit:") for r in first.skipped.values())
         monkeypatch.setattr(compedge.ideals, "BOX_CELL_LIMIT", 1)
         rpt = run_graph_checks(Graph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)]), cfg)
-        boxed = [c for c in ALL_CHECKS if c != "localization"]
-        assert rpt.summary == {**dict.fromkeys(boxed), "localization": True}
-        assert sorted(rpt.skipped) == sorted(boxed)
+        assert rpt.summary == dict.fromkeys(ALL_CHECKS)
+        assert sorted(rpt.skipped) == sorted(ALL_CHECKS)
+        assert rpt.skipped.pop("localization") == "limit: localization table has 240 cells, limit 1"
         assert all(re.fullmatch(r"limit: divisor box has \d+ cells, limit 1", r) for r in rpt.skipped.values())
+        new_process()
+
+    def test_localization_tables_are_held_to_the_box_limit(self, monkeypatch):
+        # (2^n - 1) 2^n cells per table: 992 for C5, 4032 for C6
+        monkeypatch.setattr(compedge.ideals, "BOX_CELL_LIMIT", 1000)
+        new_process()
+        cfg = SweepConfig(checks=("localization",))
+        assert run_graph_checks(cycle_graph(5), cfg).summary == {"localization": True}
+        rpt = run_graph_checks(cycle_graph(6), cfg)
+        assert (rpt.summary, rpt.skipped) == (
+            {"localization": None},
+            {"localization": "limit: localization table has 4032 cells, limit 1000"},
+        )
         new_process()
 
     def test_class_records_hold_no_tables(self, edged_classes):
@@ -476,7 +508,10 @@ class TestSweep:
         # oracle's (2^n - 1) x 2^n table
         new_process()
         sweep(5, SweepConfig(k_max=1, checks=("localization",)), n_min=5)
-        records = [compedge.verify._class_memo(canon) for canon in edged_classes[5]]
+        records = [
+            compedge.verify._class_memo(CaseClassification(BigDegreeCase.COMPLEMENTARY_EDGE, 5, graph=canon))
+            for canon in edged_classes[5]
+        ]
         assert compedge.verify._class_memo.cache_info().currsize == len(records) == 33
         assert all(records)
         assert not any(isinstance(v, np.ndarray) for record in records for v in record.values())
@@ -653,6 +688,97 @@ class TestSweep:
             call()
 
 
+def mixed_ideal(g, marked):
+    """I_c(G) + (x_[n]/x_i : i in marked), for isolated vertices of G."""
+    n = g.n
+    gens = list(complementary_edge_ideal(g).generators)
+    gens += [x_of_set(set(range(n)) - {i}, n) for i in marked]
+    return ideal(gens, n)
+
+
+class TestIdealPath:
+    """``run_graph_checks`` on the ideals of the trichotomy that are not
+    I_c(G): classified once, checked on their canonical form, one record per
+    isomorphism class."""
+
+    def test_matroidal_ideals_leaving_out_different_variables_get_separate_records(self):
+        # depth S/I^2 is 2 for (x1x2x3, x1x2x4) and 1 for V(4,3)
+        cfg = SweepConfig(k_max=2, checks=("reg", "depth-monotone"))
+        new_process()
+        for text, depths in (
+            ("(x1*x2*x3, x1*x2*x4)", [2, 2]),
+            ("(x1*x2*x3, x1*x2*x4, x1*x3*x4, x2*x3*x4)", [2, 1]),
+            ("(x2*x3*x4, x1*x3*x4)", [2, 2]),
+        ):
+            rpt = run_graph_checks(I_(text, 4), cfg)
+            assert rpt.summary == {"reg": True, "depth-monotone": True}
+            assert [rpt.per_k[k]["depth_oracle"] for k in (1, 2)] == depths
+        assert compedge.verify._class_memo.cache_info().currsize == 2
+        new_process()
+
+    def test_a_complementary_edge_ideal_is_checked_as_its_graph(self):
+        cfg = SweepConfig(k_max=2)
+        g = paw()
+        rpt = run_graph_checks(complementary_edge_ideal(g), cfg)
+        assert rpt.graph == g and rpt.ideal is None
+        assert rpt.to_json_dict() | {"timings_ms": {}} == run_graph_checks(g, cfg).to_json_dict() | {"timings_ms": {}}
+
+    def test_inapplicable_checks_and_ideals_are_refused_before_any_work(self):
+        new_process()
+        mixed = mixed_ideal(with_isolated(path_graph(3), 1), [3])
+        veronese = I_("(x1*x2*x3, x1*x2*x4, x1*x3*x4, x2*x3*x4)", 4)
+        refused = [
+            (mixed, "ass"),
+            (mixed, "localization"),
+            (veronese, "depth-stable"),
+            (veronese, "v"),
+            (I_("(x1, x2*x3)", 4), "reg"),  # a generator of degree below n - 2
+        ]
+        for I, check in refused:
+            with pytest.raises(ValueError):
+                run_graph_checks(I, SweepConfig(checks=("reg", check)))
+        assert compedge.verify._class_memo.cache_info().currsize == 0
+        with pytest.raises(ValueError):
+            run_graph_checks(I_("(x1^2*x2*x3)", 4), SweepConfig(checks=("reg",)))
+
+    def test_a_wrong_mixed_regularity_form_fails_the_reg_check(self, monkeypatch):
+        reg = compedge.formulas.reg_closed_form
+        monkeypatch.setattr(
+            compedge.formulas,
+            "reg_closed_form",
+            lambda cls, k: reg(cls, k) + (cls.case is BigDegreeCase.MIXED),
+        )
+        new_process()
+        cfg = SweepConfig(k_max=2, checks=("reg",))
+        I = mixed_ideal(with_isolated(path_graph(3), 1), [3])
+        rpt = run_graph_checks(I, cfg)
+        assert rpt.summary == {"reg": False}
+        assert run_graph_checks(with_isolated(path_graph(3), 1), cfg).summary == {"reg": True}
+        # an ideal's report serializes, and the summary names the ideal
+        assert json.loads(json.dumps(rpt.to_json_dict()))["ideal"] == I.to_json_dict()
+        assert f"- `{I}` reg:" in markdown_summary([rpt])
+        new_process()
+
+    def test_mixed_ideals_marking_some_isolated_vertices(self, edged_census):
+        # a mixed ideal may give x_[n]/x_i to any nonempty set of isolated
+        # vertices: those that leave some out form 1 class at n = 4 (12
+        # labeled ideals) and 4 at n = 5 (140)
+        cfg = SweepConfig(k_max=3, checks=("reg", "depth-monotone", "depth-stable", "linear"))
+        new_process()
+        labeled = 0
+        for n in (4, 5):
+            for g in edged_census[n]:
+                isolated = sorted(g.isolated_vertices)
+                for size in range(1, len(isolated)):
+                    for marked in itertools.combinations(isolated, size):
+                        rpt = run_graph_checks(mixed_ideal(g, marked), cfg)
+                        assert set(rpt.summary.values()) == {True}, (str(g), marked)
+                        labeled += 1
+        assert labeled == 152
+        assert compedge.verify._class_memo.cache_info().currsize == 5
+        new_process()
+
+
 class TestWitnessKernel:
     def test_agrees_with_reference_kernels(self, edged_census, edged_classes, random_ideals):
         ideals = random_ideals(random.Random(41), 1000)
@@ -821,9 +947,14 @@ class TestClassMemo:
     def direct(self, g, k, cfg):
         I = complementary_edge_ideal(g)
         Ik = power(I, k)
-        subsets = np.arange(1, 1 << g.n)
-        mismatched = _localization_supports(I, subsets) != compedge.formulas.localization_table(g, subsets)
         p = cfg.primes[0]
+
+        def localization():
+            subsets = np.arange(1, 1 << g.n)
+            if subsets.size << g.n > compedge.ideals.BOX_CELL_LIMIT:
+                raise LimitExceededError("localization tables")
+            mismatched = _localization_supports(I, subsets) != compedge.formulas.localization_table(g, subsets)
+            return tuple(subsets[mismatched.any(axis=1)].tolist())
 
         def witnesses():
             found = _prime_colon_witnesses(Ik)
@@ -843,7 +974,7 @@ class TestClassMemo:
             "betti-field-independence": outcome(_same_betti_tables, Ik, cfg.primes),
             "symbolic": outcome(_symbolic_equals_ordinary, I, power(I, 2), 2),
             "strong-persistence": outcome(strong_persistence),
-            "localization": tuple(subsets[mismatched.any(axis=1)].tolist()),
+            "localization": outcome(localization),
         }
 
     def memoized(self, st, k):
@@ -858,7 +989,7 @@ class TestClassMemo:
             "betti-field-independence": outcome(st.same_betti_tables, k),
             "symbolic": outcome(st.symbolic),
             "strong-persistence": outcome(st.strong_persistence),
-            "localization": st.localization_mismatches(),
+            "localization": outcome(st.localization_mismatches),
         }
 
     def test_memo_equals_direct_oracles(self, edged_census, monkeypatch):
@@ -888,7 +1019,7 @@ class TestClassMemo:
                     mismatches += [(str(g), tight, op, k) for op in want if got[op] != want[op]]
         assert mismatches == []
         # the tight limits make each limited oracle raise somewhere
-        assert {"witnesses", "labeled_ass", "linear", "symbolic", "strong-persistence"} <= set(limits)
+        assert {"witnesses", "labeled_ass", "linear", "symbolic", "strong-persistence", "localization"} <= set(limits)
 
     def test_each_closed_form_runs_once_per_class(self, monkeypatch):
         calls = Counter()
@@ -898,14 +1029,16 @@ class TestClassMemo:
             "ass_infinity_masks",
             "v_closed_form",
             "reg_closed_form",
+            "depth_and_dstab_closed_form",
+            "linear_powers_predicate",
         )
 
         def counting(name, form):
-            def wrapper(graph, *args):
-                canon = getattr(graph, "graph", graph)  # reg_closed_form takes a CaseClassification
+            def wrapper(first, *args):
+                # a graph, or a CaseClassification
                 k = args if name in ("v_closed_form", "reg_closed_form") else ()
-                calls[(name, canon, *k)] += 1
-                return form(graph, *args)
+                calls[(name, first, *k)] += 1
+                return form(first, *args)
 
             return wrapper
 
@@ -918,12 +1051,29 @@ class TestClassMemo:
         want = Counter()
         for g in (cycle_graph(4), paw(), matching_graph(2)):
             canon = canonical_form(g)[0]
+            cls = CaseClassification(BigDegreeCase.COMPLEMENTARY_EDGE, g.n, graph=canon)
             want.update([(name, canon) for name in forms[:3]])
-            want.update((name, canon, k) for name in forms[3:] for k in (1, 2, 3))
+            want.update(("v_closed_form", canon, k) for k in (1, 2, 3))
+            want.update(("reg_closed_form", cls, k) for k in (1, 2, 3))
             for perm in itertools.permutations(range(g.n)):
                 copy = Graph.from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges])
                 assert set(run_graph_checks(copy, cfg).summary.values()) == {True}
+        # every relabeling of a mixed ideal reads its class's record: P3 with
+        # its isolated vertex marked, and K2 with one of two marked
+        cfg = SweepConfig(k_max=3, checks=("reg", "depth-stable", "linear"))
+        for g, marked in ((path_graph(3), 1), (matching_graph(1), 1)):
+            g = with_isolated(g, 4 - g.n)
+            canon = canonical_form(g)[0]
+            lowest = sorted(canon.isolated_vertices)[:marked]
+            cls = CaseClassification(BigDegreeCase.MIXED, 4, graph=canon, degree_n1_vars=frozenset(lowest))
+            want.update(("reg_closed_form", cls, k) for k in (1, 2, 3))
+            want.update([("depth_and_dstab_closed_form", cls), ("linear_powers_predicate", cls)])
+            I = mixed_ideal(g, sorted(g.isolated_vertices)[:marked])
+            for perm in itertools.permutations(range(4)):
+                copy = ideal([Monomial(tuple(row)) for row in I.exponents[:, perm].tolist()], 4)
+                assert set(run_graph_checks(copy, cfg).summary.values()) == {True}
         assert calls == want
+        assert compedge.verify._class_memo.cache_info().currsize == 5
         new_process()
 
     def test_printed_vertex_sets_are_the_labeled_graphs(self, monkeypatch):
