@@ -102,6 +102,11 @@ def _add_check_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lq-limit", type=int, default=DEFAULT_QUOTIENTS_LIMIT, help="generator cap for the linear-quotients search")
 
 
+def _vertex_sets(sets):
+    """Report vertex sets, tuples in Python, as the JSON arrays they are."""
+    return None if sets is None else [list(F) for F in sets]
+
+
 def _render_analyze_markdown(rpt, g: Graph) -> str:
     summary = component_summary(g)
     comp = complement(g)
@@ -120,7 +125,7 @@ def _render_analyze_markdown(rpt, g: Graph) -> str:
     ]
     for k in sorted(rpt.per_k):
         row = rpt.per_k[k]
-        ass = row.get("ass_oracle")
+        ass = _vertex_sets(row.get("ass_oracle"))
         match = row.get("ass_formula_match")
         reg_o, reg_f = row.get("reg_oracle"), row.get("reg_formula")
         vo, vf = row.get("v_oracle"), row.get("v_formula")
@@ -136,7 +141,7 @@ def _render_analyze_markdown(rpt, g: Graph) -> str:
     if entry:
         lines.append("- entry indices (observed vs stated bound):")
         lines += [
-            f"    - P_{row['prime']}: observed {row['observed_entry']}, bound {row['bound']}"
+            f"    - P_{list(row['prime'])}: observed {row['observed_entry']}, bound {row['bound']}"
             for row in entry
         ]
     sym = rpt.details.get("symbolic")

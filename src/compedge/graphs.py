@@ -245,15 +245,30 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 
     The bitmask is the census one (bit k for the k-th pair of the graph6
     order), minimized over all n! relabelings at once.  Isomorphic graphs
-    get the same canonical graph.  Above ``DEFAULT_ISO_LIMIT`` vertices g
-    is returned as it is, with the identity.
+    get the same canonical graph, one shared object per class, and every
+    permutation is one shared tuple, so a call builds neither.  Above
+    ``DEFAULT_ISO_LIMIT`` vertices g is returned as it is, with the identity.
     """
     if g.n > DEFAULT_ISO_LIMIT:
         return g, tuple(range(g.n))
-    perms, bits, index = _relabel_table(g.n)
-    present = [index[i, j] for i, j in g.edges]
-    perm = tuple(perms[np.argmin(bits[:, present].sum(axis=1))].tolist())
-    return Graph.from_edges(g.n, ((perm[i], perm[j]) for i, j in g.edges)), perm
+    _, bits, index = _relabel_table(g.n)
+    masks = bits[:, [index[i, j] for i, j in g.edges]].sum(axis=1)
+    row = int(np.argmin(masks))
+    return _mask_graph(g.n, int(masks[row])), _table_perm(g.n, row)
+
+
+# Both caches are bounded by the isomorphism limit: at most one entry per
+# class, and per permutation, on at most DEFAULT_ISO_LIMIT vertices.
+@lru_cache(maxsize=None)
+def _mask_graph(n: int, mask: int) -> Graph:
+    """The graph on n vertices with the census edge bitmask ``mask``."""
+    return Graph(n, frozenset(p for k, p in enumerate(_pair_order(n)) if mask >> k & 1))
+
+
+@lru_cache(maxsize=None)
+def _table_perm(n: int, row: int) -> tuple[int, ...]:
+    """Row ``row`` of the permutations of :func:`_relabel_table`."""
+    return tuple(_relabel_table(n)[0][row].tolist())
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -354,13 +354,14 @@ def has_linear_resolution(I: MonomialIdeal, p: int = DEFAULT_PRIME) -> bool:
 def is_componentwise_linear(I: MonomialIdeal, p: int = DEFAULT_PRIME) -> bool:
     """Check linear resolution of every graded component I_<j>.
 
-    Components above reg(I) are generated in their own degree with linear
-    resolution automatically, so only indeg(I) <= j <= reg(I) is checked.
+    For j >= reg(I) the truncation I_{>=j} has a linear resolution
+    (Eisenbud-Goto), and reg(I) is at least the largest generator degree,
+    so I_<j> = I_{>=j} there: only indeg(I) <= j < reg(I) is checked.
     """
     if not I.is_proper:
         raise ValueError("componentwise linearity needs a nonzero, non-unit ideal")
     reg = betti_table(I, p).regularity
-    for j in range(I.indeg, reg + 1):
+    for j in range(I.indeg, reg):
         if not has_linear_resolution(graded_component(I, j), p):
             return False
     return True

@@ -36,8 +36,10 @@ only result store, and nothing outlives the process.  The powers themselves
 are built on a miss and dropped with the labeled input.  The paper's
 statements are invariant under relabeling vertices, so a labeled graph only
 names the vertex sets its report prints, through one table of every bitmask
-of the graph, and builds its own ideal only to report field-dependent Betti
-tables.  Reports list vertex sets by size, then lexicographically.
+shared by all graphs with the same vertex permutation onto their canonical
+form, and builds its own ideal only to report field-dependent Betti tables.
+Reports list vertex sets by size, then lexicographically, each as the shared
+1-based tuple of :func:`_report_order`, which JSON writes as an array.
 
 Strong persistence, I^(k+1) : I = I^k, and the symbolic-power identity
 I^(k) = I^k are decided on the same table, as membership, without building
@@ -55,14 +57,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from . import formulas, ideals, resolution
+from . import formulas, graphs, ideals, resolution
 from .graphs import Graph, canonical_form, enumerate_labeled_graphs, to_graph6, vertex_set
 from .ideals import (
     BigDegreeCase,
@@ -400,6 +403,23 @@ def _report_order(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
     return tuple(rank), names
 
 
+@lru_cache(maxsize=math.factorial(graphs.DEFAULT_CENSUS_LIMIT))
+def _relabeling(perm: tuple[int, ...]) -> tuple[tuple[int, ...], tuple]:
+    """For a vertex permutation onto the canonical form (vertex i becomes
+    perm[i]), the inverse permutation (canonical vertex j is vertex
+    inverse[j]) and, per canonical vertex bitmask, the rank and name of the
+    labeled bitmask from :func:`_report_order`.  The bound holds every
+    permutation of the labeled census."""
+    n = len(perm)
+    inverse = tuple(sorted(range(n), key=perm.__getitem__))
+    rank, names = _report_order(n)
+    labeled = [0] * (1 << n)
+    for c in range(1, 1 << n):
+        low = c & -c
+        labeled[c] = labeled[c ^ low] | 1 << inverse[low.bit_length() - 1]
+    return inverse, tuple((rank[m], names[m]) for m in labeled)
+
+
 @lru_cache(maxsize=2048)
 def _class_memo(cls: CaseClassification) -> dict[tuple, object]:
     """The oracle results and closed-form values of one isomorphism class in
@@ -437,8 +457,9 @@ class _GraphState:
     miss.  Every closed form a check reads is evaluated once per class too,
     in the same record (:meth:`closed_form`), and never reads an oracle
     result.  A labeled graph only names the vertex sets a report prints:
-    bitmasks of the canonical form, mapped through one table of every
-    bitmask (``to_labeled``), built only when a check prints one.  Each
+    bitmasks of the canonical form, mapped through the table of its vertex
+    permutation (``labels``, from :func:`_relabeling`), which gives each
+    canonical bitmask the labeled one's rank and shared name tuple.  Each
     power is scanned for prime colon witnesses once, for the Ass, v,
     persistence and entry-bound checks.  Every oracle result, localization's
     too, is keyed by ``ideals.BOX_CELL_LIMIT`` and
@@ -474,28 +495,15 @@ class _GraphState:
             perm = tuple(moved.get(p, p) for p in perm)
             graph = self.canon if cls.graph is not None else None
             self.cls = replace(cls, graph=graph, degree_n1_vars=frozenset(isolated[: len(marked)]))
-        # inverse[perm[i]] == i: canonical vertex j is labeled vertex inverse[j]
-        self.inverse = tuple(sorted(range(self.g.n), key=perm.__getitem__))
+        self.inverse, self.labels = _relabeling(perm)
         self._results = _class_memo(self.cls)
         self._powers: list[MonomialIdeal] = []
 
-    @cached_property
-    def to_labeled(self) -> list[int] | range:
-        """Entry c is the labeled bitmask of the canonical vertex bitmask c."""
-        if self.inverse == tuple(range(self.g.n)):
-            return range(1 << self.g.n)
-        table = [0] * (1 << self.g.n)
-        for c in range(1, 1 << self.g.n):
-            low = c & -c
-            table[c] = table[c ^ low] | 1 << self.inverse[low.bit_length() - 1]
-        return table
-
-    def names(self, masks: Iterable[int]) -> list[list[int]]:
+    def names(self, masks: Iterable[int]) -> list[tuple[int, ...]]:
         """Canonical vertex bitmasks as the labeled graph's vertex sets,
-        sorted 1-based lists in the report order."""
-        rank, names = _report_order(self.g.n)
-        labeled = map(self.to_labeled.__getitem__, masks)
-        return [list(names[m]) for m in sorted(labeled, key=rank.__getitem__)]
+        the shared 1-based tuples of :func:`_report_order`, in the report
+        order."""
+        return [name for _, name in sorted(map(self.labels.__getitem__, masks))]
 
     def power(self, k: int) -> MonomialIdeal:
         """The k-th power of I_c of the canonical form, or of the ideal with
@@ -644,19 +652,17 @@ def _check_persistence(st: _GraphState, rpt: VerificationReport) -> bool:
 def _check_entry_bound(st: _GraphState, rpt: VerificationReport) -> bool:
     stable = st.closed_form("ass_infinity_masks", st.canon)
     asses = st.asses()
-    rank, names = _report_order(st.g.n)
-    to_labeled = st.to_labeled
     rows = []
     ok = True
-    for F in sorted(stable, key=lambda F: rank[to_labeled[F]]):
-        prime = names[to_labeled[F]]
+    for F in sorted(stable, key=st.labels.__getitem__):
+        prime = st.labels[F][1]
         if len(prime) < 2:
             continue
         bound = formulas._entry_bound(len(prime))
         observed = next(
             (k for k in range(1, st.cfg.k_max + 1) if F in asses[k - 1]), None
         )
-        rows.append({"prime": list(prime), "bound": bound, "observed_entry": observed})
+        rows.append({"prime": prime, "bound": bound, "observed_entry": observed})
         if bound <= st.cfg.k_max and (observed is None or observed > bound):
             ok = False
     rpt.details["entry-bound"] = rows

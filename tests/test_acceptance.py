@@ -82,7 +82,7 @@ def _ass(rpt, k: int) -> set[tuple[int, ...]]:
 def _entry_bound_counterexamples(reports) -> list[tuple[str, list[int], int]]:
     """Stable primes P_F, |F| >= 2, absent from Ass(I^k) at k = max(1, |F|-2)."""
     return [
-        (to_graph6(r.graph), row["prime"], row["bound"])
+        (to_graph6(r.graph), list(row["prime"]), row["bound"])
         for r in reports
         for row in r.details["entry-bound"]
         if tuple(row["prime"]) not in _ass(r, row["bound"])

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -50,6 +51,45 @@ class TestAnalyze:
         assert data["schema_version"] == 1
         assert data["graph"]["graph6"] == "Cl"
         assert data["summary"]["ass"] is True
+
+    # SHA-256 of the markdown report and of the JSON report without
+    # timings_ms; both print each vertex set as a list
+    PINNED = {
+        ("--graph6", "DQc"): (
+            1,
+            "1887932cff86fa251bb51116d0c477040cce10687accbc61cdb2c5c82daddd53",
+            "b511f771443225aa11580ed615dee80633455a386958e1da3d8d6bf955e392aa",
+        ),
+        ("--edges", PAW_EDGES): (
+            0,
+            "f0a6c80d1012b127d4dc8f4957b437040c1983a247ef9c57a5e1e1df1976b4f0",
+            "0e4b0c498064632208b35e264d0d5b4e6af991ef0e31da07bc08d2e507680d82",
+        ),
+        ("--graph6", to_graph6(cycle_graph(5))): (
+            0,
+            "6c84d89a365529ad16f4e5480947819702256ec160d7a0e55556a94e3b1db43f",
+            "6d9207e24eef235e66fc3bd79c42dfb5d45ada568166fb887378f4644144dd7d",
+        ),
+    }
+
+    @pytest.mark.parametrize("flag, value", list(PINNED), ids=["DQc", "paw", "C5"])
+    def test_reports_are_pinned(self, capsys, flag, value):
+        # every check at k <= 3, entry-bound rows included
+        code, markdown, _ = run(capsys, "analyze", flag, value)
+        code_json, text, _ = run(capsys, "analyze", flag, value, "--format", "json")
+        data = json.loads(text)
+        del data["timings_ms"]
+        text = json.dumps(data, sort_keys=True, indent=2)
+
+        def sha256(s):
+            return hashlib.sha256(s.encode()).hexdigest()
+
+        assert (code, sha256(markdown), sha256(text)) == self.PINNED[flag, value]
+        assert code_json == code
+        if value == "DQc":
+            # P5, labeled so that no vertex set reads as in its canonical form
+            assert "| 2 | [[1, 2], [1, 4], [2, 3], [2, 5], [3, 4], [3, 5], [2, 3, 5]] | None |" in markdown
+            assert "    - P_[2, 3, 5]: observed 2, bound 1\n" in markdown
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "--edges", "4 1;1 1")

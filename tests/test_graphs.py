@@ -238,6 +238,14 @@ class TestCanonicalForm:
             assert (form == g) == (form not in seen)
             seen.add(form)
 
+    def test_relabelings_share_one_form(self):
+        g = relabel(paw(), [2, 0, 3, 1])
+        h = relabel(paw(), [1, 3, 0, 2])
+        assert g != h
+        form, perm = canonical_form(g)
+        assert canonical_form(h)[0] is form
+        assert canonical_form(g)[1] is perm
+
     def test_beyond_the_limit_is_the_identity(self):
         g = relabel(path_graph(DEFAULT_ISO_LIMIT + 1), [3, 0, 8, 1, 7, 2, 6, 4, 5])
         assert canonical_form(g) == (g, tuple(range(g.n)))

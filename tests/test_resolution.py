@@ -497,6 +497,16 @@ class TestLinearResolution:
             has_linear_resolution(I_("(x1, x2*x3)", 3))
 
 
+def componentwise_linear_reference(I, p):
+    """Linear resolution of every graded component I_<j> with
+    indeg(I) <= j <= reg(I), the loop that preceded the Eisenbud-Goto
+    bound j < reg(I)."""
+    reg = betti_table(I, p).regularity
+    return all(
+        has_linear_resolution(graded_component(I, j), p) for j in range(I.indeg, reg + 1)
+    )
+
+
 class TestComponentwiseLinear:
     def test_examples(self):
         assert is_componentwise_linear(I_("(x1, x2*x3)", 3))
@@ -504,6 +514,43 @@ class TestComponentwiseLinear:
             complementary_edge_ideal(matching_graph(2))
         )
         assert is_componentwise_linear(I_("(x1, x2)", 3))
+
+    def test_agrees_with_every_component_up_to_reg(self, edged_classes, random_ideals):
+        # the class powers of n <= 5, with every isolated vertex marked too,
+        # and seeded random ideals, over two fields
+        bases = []
+        for n in (3, 4, 5):
+            for g in edged_classes[n]:
+                gens = list(complementary_edge_ideal(g).generators)
+                bases.append(ideal(gens, n))
+                if g.isolated_vertices:
+                    gens += [x_of_set(set(range(n)) - {i}, n) for i in g.isolated_vertices]
+                    bases.append(ideal(gens, n))
+        cases = [power(I, k) for I in bases for k in (1, 2, 3)]
+        cases += random_ideals(random.Random(20261020), 600)
+        mismatches = [
+            (str(I), p)
+            for I in cases
+            for p in (2, 3)
+            if is_componentwise_linear(I, p) != componentwise_linear_reference(I, p)
+        ]
+        assert mismatches == []
+
+    def test_builds_no_component_from_reg_up(self, monkeypatch):
+        built = []
+        component = compedge.resolution.graded_component
+
+        def counting(I, j):
+            built.append(j)
+            return component(I, j)
+
+        monkeypatch.setattr(compedge.resolution, "graded_component", counting)
+        # linear powers: reg(I^2) = indeg(I^2) = 4
+        assert is_componentwise_linear(power(complementary_edge_ideal(complete_graph(4)), 2))
+        assert built == []
+        # generators in degrees 1 and 2, reg 2: only I_<1> is built
+        assert is_componentwise_linear(I_("(x1, x2*x3)", 3))
+        assert built == [1]
 
 
 class TestLinearQuotients:

@@ -408,7 +408,7 @@ class TestLocalizationTables:
         assert rpt.summary["localization"] is False
         # A_F is nonempty exactly when F holds a vertex with no neighbour in F
         assert rpt.details["localization"]["mismatched_subsets"] == [
-            [1], [2], [3], [4], [2, 3], [2, 4], [3, 4], [2, 3, 4]
+            (1,), (2,), (3,), (4,), (2, 3), (2, 4), (3, 4), (2, 3, 4)
         ]
         new_process()
 
@@ -933,9 +933,9 @@ def relabeled(g, rng):
 
 
 def printed(vertex_sets):
-    """Vertex sets as a report prints them: 1-based, by size, then
+    """Vertex sets as a report prints them: 1-based tuples, by size, then
     lexicographically."""
-    return sorted((sorted(i + 1 for i in F) for F in vertex_sets), key=lambda F: (len(F), F))
+    return sorted((tuple(sorted(i + 1 for i in F)) for F in vertex_sets), key=lambda F: (len(F), F))
 
 
 class TestClassMemo:
@@ -1125,6 +1125,41 @@ class TestClassMemo:
             "mismatched_subsets": printed(vertex_set(int(F)) for F in subsets[bad])
         }
         new_process()
+
+    def test_printed_vertex_sets_are_shared_tuples(self, monkeypatch):
+        # two relabelings of one class print their vertex sets as the
+        # entries of the report order's name table, not as copies of them
+        names = compedge.verify._report_order(5)[1]
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 4), (2, 3)])
+        perm = (4, 3, 0, 1, 2)
+        copy = Graph.from_edges(5, [(perm[i], perm[j]) for i, j in g.edges])
+        checks = ("ass", "persistence", "entry-bound", "localization")
+        # force a persistence loss and a localization mismatch, so that
+        # every vertex set a report can print is printed
+        witnesses = _GraphState.witnesses
+
+        def losing(st, k):
+            ass, v = witnesses(st, k)
+            return (ass if k == 1 else frozenset(F for F in ass if F.bit_count() != 2)), v
+
+        monkeypatch.setattr(_GraphState, "witnesses", losing)
+        monkeypatch.setattr(compedge.formulas, "localization_table", localization_without_a_f)
+        new_process()
+        for h in (g, copy):
+            rpt = run_graph_checks(h, SweepConfig(k_max=3, checks=checks))
+            printed_sets = [F for k in (1, 2, 3) for F in rpt.per_k[k]["ass_oracle"]]
+            printed_sets += rpt.details["ass"]["first_power_formula"]
+            printed_sets += rpt.details["ass"]["stable_formula"]
+            printed_sets.append(rpt.details["persistence"]["lost_prime"])
+            printed_sets += rpt.details["localization"]["mismatched_subsets"]
+            printed_sets += [row["prime"] for row in rpt.details["entry-bound"]]
+            assert len(printed_sets) > 30
+            assert all(F is names[sum(1 << (i - 1) for i in F)] for F in printed_sets)
+        new_process()
+
+    def test_relabeling_tables_are_bounded_by_the_census(self):
+        # one table per permutation, for at most the 6! of the labeled census
+        assert compedge.verify._relabeling.cache_info().maxsize <= 720
 
     def test_field_dependence_is_reported_with_the_labeled_tables(self, monkeypatch):
         # no census ideal has field-dependent Betti tables, so force the
