@@ -28,7 +28,7 @@ from .ideals import (
     complementary_edge_ideal,
     multiply,
 )
-from .resolution import DEFAULT_QUOTIENTS_LIMIT, betti_table, reg_pd_depth
+from .resolution import DEFAULT_QUOTIENTS_LIMIT, betti_table
 from .verify import (
     ALL_CHECKS,
     SweepConfig,
@@ -229,12 +229,12 @@ def cmd_betti(args) -> int:
     for k, Ik in enumerate(powers, start=1):
         for p in cfg.primes:
             table = betti_table(Ik, p)
-            inv = reg_pd_depth(Ik, p)
+            pd = table.projective_dimension_quotient
             blocks.append(
                 f"## {label}^{k} over F_{p}\n\n"
                 f"{table.pretty()}\n\n"
-                f"reg = {inv.regularity}, pd(S/I) = {inv.pd_quotient}, "
-                f"depth(S/I) = {inv.depth}\n"
+                f"reg = {table.regularity}, pd(S/I) = {pd}, "
+                f"depth(S/I) = {Ik.ambient - pd}\n"
             )
     _emit("\n".join(blocks), args.out)
     return EXIT_OK

@@ -15,10 +15,13 @@ over the generator matrices.
 
 The oracles that scan the divisor box of an ideal all read one table,
 :func:`divisor_counts`, the number of minimal generators dividing each box
-monomial.  One limit guards every such table: a box of more than
-``BOX_CELL_LIMIT`` cells raises :class:`LimitExceededError`.  The limit is
-read at call time, so a caller lowers it by setting
-``compedge.ideals.BOX_CELL_LIMIT``.
+monomial.  Every size limit lives here.  One guards every such table: a box
+of more than ``BOX_CELL_LIMIT`` cells raises :class:`LimitExceededError`;
+the Betti kernel also refuses an lcm lattice of more than
+``DEFAULT_LATTICE_LIMIT`` points.  The limits are read at call time, so a
+caller lowers one by setting it here, and every cached result is keyed by
+the :func:`limits` in force.  A function of one ideal is cached only
+through :func:`cached_per_ideal`.
 
 Squarefree generating sets held as vertex bitmasks, many at once, are
 minimalized by :func:`minimal_supports` into one boolean table; minimal
@@ -31,7 +34,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, wraps
 from typing import Iterable
 
 import numpy as np
@@ -40,10 +43,29 @@ from .graphs import Graph
 from .monomials import Monomial
 
 BOX_CELL_LIMIT = 5_000_000
+DEFAULT_LATTICE_LIMIT = 50_000
 
 
 class LimitExceededError(RuntimeError):
     """A configured search-space or resource limit was exceeded."""
+
+
+def limits() -> tuple[int, int]:
+    """The size limits in force: ``BOX_CELL_LIMIT`` and ``DEFAULT_LATTICE_LIMIT``."""
+    return BOX_CELL_LIMIT, DEFAULT_LATTICE_LIMIT
+
+
+def cached_per_ideal(fn):
+    """Cache ``fn(I)`` for 64 ideals, keyed by I and the :func:`limits` in
+    force, so a lowered limit never answers from the cache."""
+    cached = lru_cache(maxsize=64)(lambda I, _limits: fn(I))
+
+    @wraps(fn)
+    def wrapper(I):
+        return cached(I, limits())
+
+    wrapper.cache_info, wrapper.cache_clear = cached.cache_info, cached.cache_clear
+    return wrapper
 
 
 def _require_int(name: str, value, least: int | None = None) -> None:

@@ -7,17 +7,17 @@ nonzero rank.  Both the lattice and the upper-Koszul faces are read off one
 divisor-count table over the divisor box of the generator lcm
 (:func:`compedge.ideals.divisor_counts`), so the one box limit,
 ``compedge.ideals.BOX_CELL_LIMIT``, guards it; a lattice of more than
-``DEFAULT_LATTICE_LIMIT`` points raises :class:`LimitExceededError` too.
+``compedge.ideals.DEFAULT_LATTICE_LIMIT`` points raises
+:class:`LimitExceededError` too.
 
 One kernel gives every Betti invariant, and it is the only code that builds
 or ranks an upper-Koszul complex.  Per ideal, :func:`_complex_classes` drops
-the cones among the complexes and groups the rest by complex (cached for 64
-ideals; this part is field-free); :func:`_complex_ranks` then ranks each
-distinct complex once per characteristic (cached for 2^16 complexes across
-ideals).  Both limits are read at call time and checked before the ideal
-cache is looked up: the box against the lcm, the lattice against the point
-count the cache keeps.  Complexes are grouped by their packed face flags,
-one ``np.void`` key per row.  The characteristic is an ``int`` among the
+the cones among the complexes and groups the rest by complex (field-free,
+cached for 64 ideals under the limits in force by
+:func:`compedge.ideals.cached_per_ideal`); :func:`_complex_ranks` then ranks
+each distinct complex once per characteristic (cached for 2^16 complexes
+across ideals).  Complexes are grouped by their packed face flags, one
+``np.void`` key per row.  The characteristic is an ``int`` among the
 primes below 100.  Regularity, projective dimension and depth are maxima
 over the table's arrays, computed per characteristic so that field
 (in)dependence is an observable.  The exact linear-quotients search lives here too.
@@ -30,18 +30,18 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import ideals
 from .ideals import (
     LimitExceededError,
     MonomialIdeal,
-    _box_shape,
     _require_int,
+    cached_per_ideal,
     divisor_counts,
     graded_component,
 )
 from .monomials import Monomial
 
 DEFAULT_PRIME = 2
-DEFAULT_LATTICE_LIMIT = 50_000
 DEFAULT_QUOTIENTS_LIMIT = 2000
 _DEAD_BITS = 1 << 28
 
@@ -245,30 +245,19 @@ def _lcm_lattice(counts: np.ndarray) -> np.ndarray:
         up[axis], down[axis] = slice(1, None), slice(None, -1)
         keep[tuple(up)] &= counts[tuple(up)] > counts[tuple(down)]
     points = np.argwhere(keep)
-    _require_lattice(len(points))
+    limit = ideals.DEFAULT_LATTICE_LIMIT
+    if len(points) > limit:
+        raise LimitExceededError(f"lcm lattice has {len(points)} points, limit {limit}")
     return points
 
 
-def _require_lattice(points: int) -> None:
-    if points > DEFAULT_LATTICE_LIMIT:
-        raise LimitExceededError(f"lcm lattice has {points} points, limit {DEFAULT_LATTICE_LIMIT}")
-
-
+@cached_per_ideal
 def _complex_classes(I: MonomialIdeal) -> tuple[np.ndarray, tuple[bytes, ...], np.ndarray]:
     """The lcm-lattice points of I whose upper-Koszul complex is not a cone
     (cones are acyclic), in lexicographic order; the distinct complexes among
     them, as :func:`_complex_ranks` keys; and per point its complex's index.
     Nothing here depends on the field.
     """
-    _box_shape(I.lcm_of_generators())
-    lattice_points, points, classes, inverse = _classify_complexes(I)
-    _require_lattice(lattice_points)
-    return points, classes, inverse
-
-
-@lru_cache(maxsize=64)
-def _classify_complexes(I: MonomialIdeal) -> tuple[int, np.ndarray, tuple[bytes, ...], np.ndarray]:
-    """:func:`_complex_classes`, after the size of the whole lcm lattice."""
     counts = divisor_counts(I, I.lcm_of_generators())
     lattice = _lcm_lattice(counts)
     member = (counts > 0).reshape(-1)
@@ -296,7 +285,7 @@ def _classify_complexes(I: MonomialIdeal) -> tuple[int, np.ndarray, tuple[bytes,
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).reshape(-1)
     unique, inverse = np.unique(keys, return_inverse=True)
     classes = tuple(key.tobytes().rstrip(b"\0") for key in unique)
-    return len(lattice), lattice[~cone], classes, inverse
+    return lattice[~cone], classes, inverse
 
 
 def betti_table(I: MonomialIdeal, p: int = DEFAULT_PRIME) -> BettiTable:

@@ -11,11 +11,10 @@ generator.  Only the degree slab deg u >= indeg(I) - 1 can hold a
 witness, since x_i u lies in I for some i.  The fuzz suite cross-validates
 this against the independent localization/socle route.  The scan runs once
 per ideal in a process: Ass, v and depth zero of one ideal, from any caller,
-read one memoized result.  A divisor box of more than
-``ideals.BOX_CELL_LIMIT`` cells, the one limit on every divisor-count table,
-raises :class:`LimitExceededError`, which the sweep records as a skip; the
-limit is read at call time and checked against the lcm box before the scan's
-memo is looked up, so it is no part of a scan result.
+read one memoized result, cached by :func:`ideals.cached_per_ideal` under
+the limits in force.  A divisor box of more than ``ideals.BOX_CELL_LIMIT``
+cells, the one limit on every divisor-count table, raises
+:class:`LimitExceededError`, which the sweep records as a skip.
 
 One verification path, :func:`run_graph_checks`, takes a graph or an ideal
 of the degree >= n - 2 trichotomy of :func:`ideals.classify_big_degree`; a
@@ -24,16 +23,15 @@ The sweep walks graphs.  Every check runs on the canonical form of the
 isomorphism class (:func:`compedge.graphs.canonical_form`, then the marked
 isolated variables of a mixed or matroidal ideal moved to the lowest
 isolated labels): the oracles, on the powers of the canonical ideal, and
-the closed forms, each once per class in a process.  A process keeps one record per canonical
-classification.  It holds the oracle results on those powers, keyed by the
-operation, k, its parameters and the limits in force
-(``ideals.BOX_CELL_LIMIT`` and ``resolution.DEFAULT_LATTICE_LIMIT``, read at
-call time), so a lowered limit skips a check whether or not the class was
-seen before.  It holds the closed forms' values too, keyed by the form's
-name and its arguments other than the graph or classification, and for the
-localization check only the subsets where the two tables differ.  It is the
-only result store, and nothing outlives the process.  The powers themselves
-are built on a miss and dropped with the labeled input.  The paper's
+the closed forms, each once per class in a process.  A process keeps one
+record per canonical classification.  It holds the oracle results on those
+powers, the closed forms' values and, for the localization check, only the
+subsets where the two tables differ.  Like every cached oracle result, each
+entry is keyed by what it computes, with its arguments other than the
+graph, and by :func:`ideals.limits`, the limits in force, so a lowered limit
+skips a check whether or not the class was seen before.  It is the only
+result store, and nothing outlives the process.  The powers themselves are
+built on a miss and dropped with the labeled input.  The paper's
 statements are invariant under relabeling vertices, so a labeled graph only
 names the vertex sets its report prints, through one table of every bitmask
 shared by all graphs with the same vertex permutation onto their canonical
@@ -65,7 +63,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import formulas, graphs, ideals, resolution
+from . import formulas, graphs, ideals
 from .graphs import Graph, canonical_form, enumerate_labeled_graphs, to_graph6, vertex_set
 from .ideals import (
     BigDegreeCase,
@@ -75,6 +73,7 @@ from .ideals import (
     _box_shape,
     _generated_by,
     _require_int,
+    cached_per_ideal,
     classify_big_degree,
     complementary_edge_ideal,
     divisor_counts,
@@ -142,6 +141,7 @@ class _Witnesses:
         return VWitness(sum(u), Monomial(u), vertex_set(int(self.masks[best])))
 
 
+@cached_per_ideal
 def _prime_colon_witnesses(I: MonomialIdeal) -> _Witnesses:
     """Scan the divisor box of the generator lcm for prime colon ideals.
 
@@ -153,16 +153,9 @@ def _prime_colon_witnesses(I: MonomialIdeal) -> _Witnesses:
     slab are candidates.  The steps read from a candidate, u + e_i and the
     raised u, never lower its degree.
 
-    The scan runs once per ideal in a process, memoized for 64 ideals.  The
-    box limit is checked against the lcm box on every call, before the memo
-    is looked up.
+    The scan runs once per ideal in a process, cached for 64 ideals under
+    the limits in force.
     """
-    _box_shape(I.lcm_of_generators())
-    return _scan_witnesses(I)
-
-
-@lru_cache(maxsize=64)
-def _scan_witnesses(I: MonomialIdeal) -> _Witnesses:
     bound = I.lcm_of_generators()
     counts = divisor_counts(I, bound)
     member = (counts > 0).reshape(-1)
@@ -456,16 +449,16 @@ class _GraphState:
     of the canonical ideal, which a labeled graph or ideal builds only on a
     miss.  Every closed form a check reads is evaluated once per class too,
     in the same record (:meth:`closed_form`), and never reads an oracle
-    result.  A labeled graph only names the vertex sets a report prints:
-    bitmasks of the canonical form, mapped through the table of its vertex
-    permutation (``labels``, from :func:`_relabeling`), which gives each
-    canonical bitmask the labeled one's rank and shared name tuple.  Each
-    power is scanned for prime colon witnesses once, for the Ass, v,
-    persistence and entry-bound checks.  Every oracle result, localization's
-    too, is keyed by ``ideals.BOX_CELL_LIMIT`` and
-    ``resolution.DEFAULT_LATTICE_LIMIT`` as read at call time, so a lowered
-    limit skips every box check of a class seen before.  The record holds no
-    table: the localization check keeps only its mismatched subsets.
+    result.  Every entry goes through :meth:`_record`, which keys it by the
+    :func:`ideals.limits` in force, so a lowered limit skips every box check
+    of a class seen before.  The record holds no table: the localization
+    check keeps only its mismatched subsets.  A labeled graph only names the
+    vertex sets a report prints: bitmasks of the canonical form, mapped
+    through the table of its vertex permutation (``labels``, from
+    :func:`_relabeling`), which gives each canonical bitmask the labeled
+    one's rank and shared name tuple.  Each power is scanned for prime colon
+    witnesses once, for the Ass, v, persistence and entry-bound checks, and
+    a labeled graph reads each scan's result from the record once.
     """
 
     def __init__(self, source: Graph | MonomialIdeal, cfg: SweepConfig):
@@ -498,6 +491,7 @@ class _GraphState:
         self.inverse, self.labels = _relabeling(perm)
         self._results = _class_memo(self.cls)
         self._powers: list[MonomialIdeal] = []
+        self._scans: dict[int, tuple[frozenset[int], int]] = {}
 
     def names(self, masks: Iterable[int]) -> list[tuple[int, ...]]:
         """Canonical vertex bitmasks as the labeled graph's vertex sets,
@@ -518,37 +512,30 @@ class _GraphState:
             self._powers.append(multiply(self._powers[-1], self._powers[0]))
         return self._powers[k - 1]
 
-    def _memo(self, operation: str, k: int, params: dict, compute):
-        """compute(I^k) on the canonical ideal, kept per class under the box
-        and lattice limits in force."""
-        key = (
-            operation,
-            k,
-            tuple(sorted(params.items())),
-            ideals.BOX_CELL_LIMIT,
-            resolution.DEFAULT_LATTICE_LIMIT,
-        )
+    def _record(self, key: tuple, compute):
+        """compute(), kept in the class record under ``key`` and the limits
+        in force."""
+        key += ideals.limits()
         if key not in self._results:
-            self._results[key] = compute(self.power(k))
+            self._results[key] = compute()
         return self._results[key]
 
     def closed_form(self, name: str, graph, *args):
         """``formulas.<name>(graph, *args)``, where ``graph`` is ``canon`` or
         ``cls``, kept per class by ``name`` and ``args``.  It builds no power."""
-        key = (name, *args)
-        if key not in self._results:
-            self._results[key] = getattr(formulas, name)(graph, *args)
-        return self._results[key]
+        return self._record((name, *args), lambda: getattr(formulas, name)(graph, *args))
 
     def witnesses(self, k: int) -> tuple[frozenset[int], int]:
         """Ass(I^k) of the canonical form as vertex bitmasks, and v(I^k),
-        from one scan."""
+        from one scan, read from the class record once per state."""
+        if k not in self._scans:
 
-        def compute(Ik):
-            found = _prime_colon_witnesses(Ik)
-            return found.prime_masks(), found.least().v
+            def compute():
+                found = _prime_colon_witnesses(self.power(k))
+                return found.prime_masks(), found.least().v
 
-        return self._memo("prime_colon_witnesses", k, {}, compute)
+            self._scans[k] = self._record(("prime_colon_witnesses", k), compute)
+        return self._scans[k]
 
     def asses(self) -> list[frozenset[int]]:
         return [self.witnesses(k)[0] for k in range(1, self.cfg.k_max + 1)]
@@ -556,63 +543,60 @@ class _GraphState:
     def localization_mismatches(self) -> tuple[int, ...]:
         """The canonical vertex bitmasks F whose row of
         :func:`compedge.formulas.localization_table` differs from
-        :func:`_localization_supports` of I_c of the canonical form, kept per
-        class under the box limit in force; neither table is.  Tables of
-        more than ``ideals.BOX_CELL_LIMIT`` cells are refused."""
-        n, limit = self.g.n, ideals.BOX_CELL_LIMIT
-        key = ("localization_table", limit)
-        if key not in self._results:
+        :func:`_localization_supports` of I_c of the canonical form; neither
+        table is kept.  Tables of more than ``ideals.BOX_CELL_LIMIT`` cells
+        are refused."""
+
+        def compute():
+            n, limit = self.g.n, ideals.BOX_CELL_LIMIT
             cells = ((1 << n) - 1) << n
             if cells > limit:
                 raise LimitExceededError(f"localization table has {cells} cells, limit {limit}")
             subsets = np.arange(1, 1 << n)
             oracle = _localization_supports(self.power(1), subsets)
             formula = formulas.localization_table(self.canon, subsets)
-            self._results[key] = tuple(subsets[(oracle != formula).any(axis=1)].tolist())
-        return self._results[key]
+            return tuple(subsets[(oracle != formula).any(axis=1)].tolist())
+
+        return self._record(("localization_table",), compute)
 
     def invariants(self, k: int) -> HomologicalInvariants:
         p = self.cfg.primes[0]
-        return self._memo("reg_pd_depth", k, {"p": p}, lambda Ik: reg_pd_depth(Ik, p))
+        return self._record(("reg_pd_depth", k, p), lambda: reg_pd_depth(self.power(k), p))
 
     def linear(self, k: int) -> tuple[bool, bool]:
         """Whether I^k has linear quotients, and whether it is
         componentwise linear."""
         p, limit = self.cfg.primes[0], self.cfg.lq_limit
-        return self._memo(
-            "linear",
-            k,
-            {"p": p, "lq_limit": limit},
-            lambda Ik: (
-                _linear_quotients_order(Ik, limit) is not None,
-                is_componentwise_linear(Ik, p),
+        return self._record(
+            ("linear", k, p, limit),
+            lambda: (
+                _linear_quotients_order(self.power(k), limit) is not None,
+                is_componentwise_linear(self.power(k), p),
             ),
         )
 
     def same_betti_tables(self, k: int) -> bool:
         primes = self.cfg.primes
-        return self._memo(
-            "betti-field-independence",
-            k,
-            {"primes": primes},
-            lambda Ik: _same_betti_tables(Ik, primes),
+        return self._record(
+            ("betti-field-independence", k, primes),
+            lambda: _same_betti_tables(self.power(k), primes),
         )
 
     def symbolic(self) -> bool:
         """I^(2) = I^2."""
-        return self._memo("symbolic", 2, {}, lambda I2: _symbolic_equals_ordinary(self.power(1), I2, 2))
+        return self._record(("symbolic",), lambda: _symbolic_equals_ordinary(self.power(1), self.power(2), 2))
 
     def strong_persistence(self) -> tuple[bool, int | None]:
         """Whether I^(k+1) : I = I^k for every k <= k_max, and the first k
         where it fails."""
         k_max = self.cfg.k_max
 
-        def compute(_):
+        def compute():
             powers = (self.power(k) for k in range(1, k_max + 2))
             res = _strong_persistence(self.power(1), powers)
             return res.holds, res.first_failure
 
-        return self._memo("strong-persistence", k_max, {}, compute)
+        return self._record(("strong-persistence", k_max), compute)
 
 
 def _check_ass(st: _GraphState, rpt: VerificationReport) -> bool:

@@ -272,6 +272,24 @@ class TestBetti:
         assert code == 0
         assert "reg = 3" in out  # mixed-degree ideal: reg I = (n-1)k = 3
 
+    # SHA-256 of the printed tables and invariants
+    PINNED = {
+        "Cl": "c5a4da138429c43490462737c4c504009869ca18dbe09625d2624337f60c2bf9",
+        "ideal-json": "16cfca302efe087787144fba5acfb3d98e92429877c577ca558557c3ad549fb3",
+    }
+
+    def test_output_is_pinned(self, capsys, tmp_path):
+        path = tmp_path / "ideal.json"
+        gens = [[1, 1, 1, 0, 0], [0, 1, 1, 1, 0], [1, 0, 1, 0, 1], [0, 1, 1, 1, 1], [1, 1, 0, 1, 1]]
+        path.write_text(json.dumps({"ambient": 5, "generators": gens}))
+        runs = {
+            "Cl": ("--graph6", "Cl", "--kmax", "3", "--primes", "2,3"),
+            "ideal-json": ("--ideal-json", str(path), "--kmax", "2", "--primes", "2,3"),
+        }
+        for name, argv in runs.items():
+            code, out, _ = run(capsys, "betti", *argv)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, self.PINNED[name]), name
+
     def test_requires_exactly_one_input(self, capsys, tmp_path):
         # an ideal file with a graph beside it printed the file's tables
         # and dropped the graph without a word

@@ -15,6 +15,7 @@ from compedge.graphs import (
     path_graph,
 )
 from compedge.ideals import (
+    DEFAULT_LATTICE_LIMIT,
     LimitExceededError,
     complementary_edge_ideal,
     divisor_counts,
@@ -27,7 +28,6 @@ from compedge.ideals import (
 )
 from compedge.monomials import Monomial, parse_monomial, x_of_set
 from compedge.resolution import (
-    DEFAULT_LATTICE_LIMIT,
     _boundary_rank,
     _complex_classes,
     _complex_ranks,
@@ -353,13 +353,14 @@ class TestBettiTable:
 
     def test_over_limit_lattice_raises(self, monkeypatch):
         # the three generators have 7 joins; the table is cached first, and
-        # the lowered limit is checked against the point count it keeps
+        # the cache is keyed by the limits in force, so the lowered limit
+        # is not answered from it
         I = ideal([Monomial((7, 1, 0)), Monomial((0, 7, 1)), Monomial((1, 0, 7))], 3)
         betti_table(I)
-        monkeypatch.setattr(compedge.resolution, "DEFAULT_LATTICE_LIMIT", 6)
+        monkeypatch.setattr(compedge.ideals, "DEFAULT_LATTICE_LIMIT", 6)
         with pytest.raises(LimitExceededError, match="lcm lattice has 7 points, limit 6"):
             betti_table(I)
-        monkeypatch.setattr(compedge.resolution, "DEFAULT_LATTICE_LIMIT", DEFAULT_LATTICE_LIMIT)
+        monkeypatch.setattr(compedge.ideals, "DEFAULT_LATTICE_LIMIT", DEFAULT_LATTICE_LIMIT)
         assert betti_table(I).total(0) == 3
 
     def test_lowered_box_limit_applies_to_a_cached_ideal(self, monkeypatch):

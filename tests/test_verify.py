@@ -13,7 +13,6 @@ import pytest
 
 import compedge.formulas
 import compedge.ideals
-import compedge.resolution
 import compedge.verify
 from compedge.formulas import ass_infinity
 from compedge.graphs import (
@@ -443,6 +442,26 @@ class TestSweep:
                 assert set(run_graph_checks(copy, cfg).summary.values()) == {True}
             assert scanned == Counter(power(I, k) for k in (1, 2, 3))
 
+    def test_a_warm_labeled_graph_reads_each_record_entry_once(self, monkeypatch):
+        # ass, persistence and v all read the scan of each power; a labeled
+        # graph reads it from its class record once per power
+        class CountingRecord(dict):
+            def __getitem__(self, key):
+                reads[key] += 1
+                return super().__getitem__(key)
+
+        reads, records = Counter(), {}
+        monkeypatch.setattr(
+            compedge.verify, "_class_memo", lambda cls: records.setdefault(cls, CountingRecord())
+        )
+        cfg = SweepConfig(k_max=3, checks=("ass", "persistence", "v"))
+        run_graph_checks(cycle_graph(4), cfg)
+        reads.clear()
+        rpt = run_graph_checks(Graph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)]), cfg)
+        assert set(rpt.summary.values()) == {True}
+        assert max(reads.values()) == 1
+        assert sum(n for key, n in reads.items() if key[0] == "prime_colon_witnesses") == 3
+
     def test_a_labeled_graph_looks_its_class_up_once(self):
         new_process()
         g = cycle_graph(4)
@@ -459,7 +478,7 @@ class TestSweep:
         "check, module, limit, reason",
         [
             ("ass", compedge.ideals, "BOX_CELL_LIMIT", "divisor box has 16 cells, limit 1"),
-            ("reg", compedge.resolution, "DEFAULT_LATTICE_LIMIT", "lcm lattice has 9 points, limit 1"),
+            ("reg", compedge.ideals, "DEFAULT_LATTICE_LIMIT", "lcm lattice has 9 points, limit 1"),
         ],
     )
     def test_a_lowered_limit_skips_a_class_seen_before(self, check, module, limit, reason, monkeypatch):
@@ -823,14 +842,14 @@ class TestWitnessKernel:
         assert ass_oracle(I2) == ass
 
     def test_an_equal_ideal_is_scanned_once(self):
-        compedge.verify._scan_witnesses.cache_clear()
+        compedge.verify._prime_colon_witnesses.cache_clear()
         I = complementary_edge_ideal(cycle_graph(5))
         ass_oracle(I)
         fresh = complementary_edge_ideal(cycle_graph(5))
         assert fresh is not I and fresh == I
         v_oracle(fresh)
         depth_zero_oracle(fresh)
-        info = compedge.verify._scan_witnesses.cache_info()
+        info = compedge.verify._prime_colon_witnesses.cache_info()
         assert (info.hits, info.misses) == (2, 1)
 
     def test_shared_witness_arrays_are_read_only(self):
