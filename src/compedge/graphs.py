@@ -228,15 +228,21 @@ def triangles(g: Graph) -> set[frozenset[int]]:
 
 
 @lru_cache(maxsize=None)
-def _relabel_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every permutation of range(n), one per row; per row and pair index,
-    the edge bit that pair is sent to; and the pair index of each (i, j)."""
+def _relabel_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every permutation of range(n), one per row; and per pair index, one
+    contiguous row giving, per permutation, the edge bit that pair is sent to."""
     pairs = np.array(_pair_order(n), dtype=np.int64).reshape(-1, 2)
     index = np.zeros((n, n), dtype=np.int64)
     index[pairs[:, 0], pairs[:, 1]] = index[pairs[:, 1], pairs[:, 0]] = np.arange(len(pairs))
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     bits = np.int64(1) << index[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]
-    return perms, bits, index
+    return perms, np.ascontiguousarray(bits.T)
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> dict[tuple[int, int], int]:
+    """The census bit of each pair (i, j), i < j: its index in the graph6 order."""
+    return {pair: k for k, pair in enumerate(_pair_order(n))}
 
 
 def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -244,16 +250,18 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     that gives it: vertex i of g becomes vertex perm[i].
 
     The bitmask is the census one (bit k for the k-th pair of the graph6
-    order), minimized over all n! relabelings at once.  Isomorphic graphs
-    get the same canonical graph, one shared object per class, and every
-    permutation is one shared tuple, so a call builds neither.  Above
-    ``DEFAULT_ISO_LIMIT`` vertices g is returned as it is, with the identity.
+    order), minimized over all n! relabelings at once: each edge adds its
+    pair's row of edge bits.  Isomorphic graphs get the same canonical
+    graph, one shared object per class, and every permutation is one shared
+    tuple, so a call builds neither.  Above ``DEFAULT_ISO_LIMIT`` vertices g
+    is returned as it is, with the identity.
     """
     if g.n > DEFAULT_ISO_LIMIT:
         return g, tuple(range(g.n))
-    _, bits, index = _relabel_table(g.n)
-    masks = bits[:, [index[i, j] for i, j in g.edges]].sum(axis=1)
-    row = int(np.argmin(masks))
+    _, bits = _relabel_table(g.n)
+    pair_bits = _pair_bits(g.n)
+    masks = bits.take([pair_bits[e] for e in g.edges], axis=0).sum(axis=0)
+    row = int(masks.argmin())
     return _mask_graph(g.n, int(masks[row])), _table_perm(g.n, row)
 
 
@@ -308,16 +316,17 @@ def to_graph6(g: Graph) -> str:
     """Encode as graph6: byte n+63, then the upper-triangle bits, 6 per byte."""
     if g.n > 62:
         raise ValueError("graph6 writer supports n <= 62 only")
-    bits = [1 if p in g.edges else 0 for p in _pair_order(g.n)]
-    while len(bits) % 6 != 0:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = val << 1 | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    pair_bits = _pair_bits(g.n)
+    mask = 0
+    for e in g.edges:
+        mask |= 1 << pair_bits[e]
+    body = (_GRAPH6_CHARS[mask >> k & 63] for k in range(0, len(pair_bits), 6))
+    return chr(g.n + 63) + "".join(body)
+
+
+# per 6-bit group of the census bitmask (pair k at bit k), its graph6 byte,
+# which holds the group's first pair in its highest bit
+_GRAPH6_CHARS = tuple(chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64))
 
 
 def from_graph6(text: str) -> Graph:

@@ -16,11 +16,16 @@ the cones among the complexes and groups the rest by complex (field-free,
 cached for 64 ideals under the limits in force by
 :func:`compedge.ideals.cached_per_ideal`); :func:`_complex_ranks` then ranks
 each distinct complex once per characteristic (cached for 2^16 complexes
-across ideals).  Complexes are grouped by their packed face flags, one
-``np.void`` key per row.  The characteristic is an ``int`` among the
-primes below 100.  Regularity, projective dimension and depth are maxima
-over the table's arrays, computed per characteristic so that field
-(in)dependence is an observable.  The exact linear-quotients search lives here too.
+across ideals).  The face flags of every lattice point, 2^|supp(a)| per
+point, come from a fixed number of array passes per 2^16 flags: gathers
+in rows of 32 masks, each row packed into one word, whose popcounts test
+every apex of a cone at once.  Complexes are grouped by their packed face
+flags, one ``np.void`` key per row.  The characteristic is an ``int``
+among the primes below 100: F_2 ranks eliminate bitset rows, and the
+other primes reduce sparse columns of Python ints.  Regularity,
+projective dimension and depth are maxima over the table's arrays,
+computed per characteristic so that field (in)dependence is an
+observable.  The exact linear-quotients search lives here too.
 """
 
 from __future__ import annotations
@@ -75,31 +80,30 @@ def _rank_gf2(rows: list[int]) -> int:
     return rank
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank over F_p by fraction-style Gaussian elimination."""
-    M = np.array(mat, dtype=np.int64) % p
-    rows, cols = M.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = None
-        for rr in range(r, rows):
-            if M[rr, c]:
-                piv = rr
+def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
+    """Rank over F_p of sparse columns, each a dict row -> nonzero entry.
+
+    Column reduction: while a column's largest row is the pivot row of an
+    earlier column, that column's multiple is subtracted; a column left
+    nonzero becomes the pivot of its largest row, scaled to lead with 1.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            lead = max(col)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(col[lead], -1, p)
+                pivots[lead] = {r: v * inv % p for r, v in col.items()}
                 break
-        if piv is None:
-            continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        inv = pow(int(M[r, c]), -1, p)
-        M[r] = M[r] * inv % p
-        col = M[r + 1 :, c]
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            M[r + 1 + nz] = (M[r + 1 + nz] - np.outer(col[nz], M[r])) % p
-        r += 1
-    return r
+            c = col[lead]
+            for r, v in piv.items():
+                entry = (col.get(r, 0) - c * v) % p
+                if entry:
+                    col[r] = entry
+                else:
+                    del col[r]
+    return len(pivots)
 
 
 def _boundary_rank(lower: list[int], upper: list[int], p: int) -> int:
@@ -117,16 +121,18 @@ def _boundary_rank(lower: list[int], upper: list[int], p: int) -> int:
                 rows[row_index[f ^ low]] |= 1 << j
                 rem ^= low
         return _rank_gf2(rows)
-    mat = np.zeros((len(lower), len(upper)), dtype=np.int64)
-    for j, f in enumerate(upper):
+    columns = []
+    for f in upper:
+        col = {}
         sign = 1
         rem = f
         while rem:
             low = rem & -rem
-            mat[row_index[f ^ low], j] = sign
+            col[row_index[f ^ low]] = sign
             sign = -sign
             rem ^= low
-    return _rank_mod_p(mat, p)
+        columns.append(col)
+    return _rank_mod_p(columns, p)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -251,40 +257,88 @@ def _lcm_lattice(counts: np.ndarray) -> np.ndarray:
     return points
 
 
+# face flags are gathered in rows of 2^_LOW_BITS consecutive masks of one
+# point, and at most _GATHER_CELLS of them at once, so memory stays bounded
+_LOW_BITS = 5
+_GATHER_CELLS = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _bit_table(g: int) -> np.ndarray:
+    """bits[m, t] = bit t of m, for m < 2^g."""
+    m = np.arange(1 << g)
+    return m[:, None] >> np.arange(g) & 1
+
+
 @cached_per_ideal
 def _complex_classes(I: MonomialIdeal) -> tuple[np.ndarray, tuple[bytes, ...], np.ndarray]:
     """The lcm-lattice points of I whose upper-Koszul complex is not a cone
     (cones are acyclic), in lexicographic order; the distinct complexes among
     them, as :func:`_complex_ranks` keys; and per point its complex's index.
     Nothing here depends on the field.
+
+    Face m of the complex at a (bit t of m for the t-th variable of supp(a))
+    is present when x^(a - m spread over supp(a)) lies in I.  Every point's
+    2^|supp(a)| face flags are gathered from the membership table in rows of
+    2^_LOW_BITS masks, one packed word per row: per point, a table of the
+    low bits' box offsets, and per row, the offset of its high bits.  A
+    complex is down-closed, so it is a cone with apex t exactly when as many
+    faces contain t as avoid it; the face counts are popcounts of the words,
+    and one comparison tests every apex at once.
     """
     counts = divisor_counts(I, I.lcm_of_generators())
     lattice = _lcm_lattice(counts)
     member = (counts > 0).reshape(-1)
-    strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
-    sizes = np.count_nonzero(lattice, axis=1)
-    cone = np.zeros(len(lattice), dtype=bool)
+    strides = np.array(counts.strides) // counts.itemsize
+    support = lattice > 0
+    sizes = support.sum(axis=1)
+    width = int(sizes.max())
+    low = min(width, _LOW_BITS)
+    # steps[r, t]: the stride of the t-th variable of supp(a_r), then the box
+    # size, so that a mask bit past supp(a_r) sends the gather below cell 0,
+    # where the clipped read is x^0, which no proper I contains.  C-order
+    # strides fall along the axes: an ascending sort of the negated strides
+    # lists supp(a_r) in variable order.
+    steps = np.abs(np.sort(np.where(support, -strides, member.size), axis=1))[:, :width]
+    low_offsets = steps[:, :low] @ _bit_table(low).T
+    base = lattice @ strides
+    # a row's flags pack into one word; apex[t] holds the masks with bit t set
+    word = np.dtype(f"u{max(1, (1 << low) // 8)}")
+    apex = np.packbits(_bit_table(low).T.astype(bool, order="C"), axis=1).view(word)[:, 0]
+    blocks = 1 << np.maximum(sizes - low, 0)
+    ends = np.cumsum(blocks)
+    cone = np.empty(len(lattice), dtype=bool)
     # packed face flags, all of one width; keys drop the trailing zero bytes
-    packed = np.zeros((len(lattice), max(1, (1 << int(sizes.max())) // 8)), dtype=np.uint8)
-    for g in sorted(set(sizes.tolist())):
-        rows = np.flatnonzero(sizes == g)
-        supp = np.nonzero(lattice[rows])[1].reshape(-1, g)
-        masks = np.arange(1 << g)
-        step = max(1, (1 << 18) >> g)  # row blocks keep each gather near 2^18 cells
-        for lo in range(0, len(rows), step):
-            r = rows[lo : lo + step]
-            # flags[., m]: x^(a - m spread over supp(a)) lies in I, so m is a face
-            shifts = strides[supp[lo : lo + step]] @ (masks >> np.arange(g)[:, None] & 1)
-            flags = member[(lattice[r] @ strides)[:, None] - shifts]
-            for t in range(g):
-                f = masks[(masks >> t & 1) == 0]
-                cone[r] |= (flags[:, f] <= flags[:, f | 1 << t]).all(axis=1)
-            packed[r, : max(1, (1 << g) // 8)] = np.packbits(flags, axis=1)
+    packed = np.zeros((len(lattice), 1 << (width - low)), dtype=word)
+    lo = 0
+    while lo < len(lattice):
+        # points lo..hi, whose rows hold about _GATHER_CELLS flags
+        start = ends[lo] - blocks[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, start + (_GATHER_CELLS >> low), side="right")))
+        n_rows = blocks[lo:hi]
+        first = ends[lo:hi] - n_rows - start
+        point = np.repeat(np.arange(lo, hi), n_rows)
+        block = np.arange(len(point)) - np.repeat(first, n_rows)
+        high = _bit_table(width - low)[block]
+        top = base[point] - (high * steps[point, low:]).sum(axis=1)
+        flags = member.take(top[:, None] - low_offsets[point], mode="clip")
+        words = np.packbits(flags, axis=1).view(word)[:, 0]
+        packed[point, block] = words
+        # per point: how many faces contain each variable, and how many faces
+        faces = np.bitwise_count(words)[:, None]
+        tally = np.add.reduceat(
+            np.hstack([np.bitwise_count(words[:, None] & apex), faces * high, faces], dtype=np.int64),
+            first,
+            axis=0,
+        )
+        cone[lo:hi] = (2 * tally[:, :width] == tally[:, width:]).any(axis=1)
+        lo = hi
     # one void per row sorts as its bytes, as rows of uint8 do
-    rows = packed[~cone]
+    rows = packed[~cone].view(np.uint8)
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).reshape(-1)
     unique, inverse = np.unique(keys, return_inverse=True)
-    classes = tuple(key.tobytes().rstrip(b"\0") for key in unique)
+    data, size = unique.tobytes(), rows.shape[1]
+    classes = tuple(data[s : s + size].rstrip(b"\0") for s in range(0, len(data), size))
     return lattice[~cone], classes, inverse
 
 

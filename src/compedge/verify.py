@@ -458,7 +458,8 @@ class _GraphState:
     :func:`_relabeling`), which gives each canonical bitmask the labeled
     one's rank and shared name tuple.  Each power is scanned for prime colon
     witnesses once, for the Ass, v, persistence and entry-bound checks, and
-    a labeled graph reads each scan's result from the record once.
+    a labeled graph reads each scan's result from the record once, as it
+    does each power's (reg, pd, depth) for the reg and depth checks.
     """
 
     def __init__(self, source: Graph | MonomialIdeal, cfg: SweepConfig):
@@ -492,6 +493,7 @@ class _GraphState:
         self._results = _class_memo(self.cls)
         self._powers: list[MonomialIdeal] = []
         self._scans: dict[int, tuple[frozenset[int], int]] = {}
+        self._invariants: dict[int, HomologicalInvariants] = {}
 
     def names(self, masks: Iterable[int]) -> list[tuple[int, ...]]:
         """Canonical vertex bitmasks as the labeled graph's vertex sets,
@@ -560,8 +562,14 @@ class _GraphState:
         return self._record(("localization_table",), compute)
 
     def invariants(self, k: int) -> HomologicalInvariants:
-        p = self.cfg.primes[0]
-        return self._record(("reg_pd_depth", k, p), lambda: reg_pd_depth(self.power(k), p))
+        """reg, pd and depth of I^k over the first prime, read from the
+        class record once per state."""
+        if k not in self._invariants:
+            p = self.cfg.primes[0]
+            self._invariants[k] = self._record(
+                ("reg_pd_depth", k, p), lambda: reg_pd_depth(self.power(k), p)
+            )
+        return self._invariants[k]
 
     def linear(self, k: int) -> tuple[bool, bool]:
         """Whether I^k has linear quotients, and whether it is

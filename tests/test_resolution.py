@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from compedge.ideals import (
     LimitExceededError,
     complementary_edge_ideal,
     divisor_counts,
+    edge_ideal,
     graded_component,
     ideal,
     parse_ideal,
@@ -264,9 +266,9 @@ class TestReducedHomology:
         from sympy.polys.matrices import DomainMatrix
 
         rng = random.Random(11)
-        for p in (2, 3, 5):
-            for _ in range(10):
-                g = rng.randint(2, 5)
+        for p in (2, 3, 5, 97):
+            for _ in range(20):
+                g = rng.randint(2, 7)
                 d = rng.randint(1, g - 1)
                 upper = [
                     sum(1 << v for v in combo)
@@ -410,7 +412,7 @@ class TestBettiTable:
                     mismatches.append((str(I), p))
         assert mismatches == []
 
-    def test_complex_keys_agree_with_reference(self, edged_classes, random_ideals):
+    def test_complex_keys_agree_with_reference(self, edged_classes, random_ideals, mixed_family):
         ideals = random_ideals(random.Random(19), 500)
         ideals += [
             power(complementary_edge_ideal(g), k)
@@ -418,12 +420,28 @@ class TestBettiTable:
             for g in edged_classes[n]
             for k in (1, 2, 3)
         ]
+        ideals += [power(complementary_edge_ideal(g), 2) for g in (cycle_graph(7), path_graph(7))]
+        ideals += [power(I, k) for _, I in mixed_family for k in (1, 2)]
+        # supports of every size from 2 to 11
+        ideals.append(edge_ideal(cycle_graph(11)))
         for I in ideals:
             points, classes, inverse = _complex_classes(I)
             want_points, want_classes, want_inverse = complex_classes_reference(I)
             assert np.array_equal(points, want_points), str(I)
             assert classes == want_classes, str(I)
             assert np.array_equal(inverse, want_inverse), str(I)
+
+    def test_complex_classes_memory_follows_the_supports(self):
+        # the face flags of a point take 2^|supp(a)| cells, not 2^n: on the
+        # edge ideal of C11 most supports are far smaller than 11
+        I = edge_ideal(cycle_graph(11))
+        tracemalloc.start()
+        try:
+            _complex_classes.__wrapped__(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_acyclic_non_cone_carries_no_betti_number(self):
         # at (1,1,1,1) the complex is the path 3-0-1-2: not a cone, yet acyclic

@@ -21,7 +21,9 @@ from compedge.graphs import (
     complete_graph,
     cycle_graph,
     enumerate_labeled_graphs,
+    induced_subgraph,
     matching_graph,
+    neighbour_masks,
     path_graph,
     vertex_set,
     with_isolated,
@@ -386,16 +388,27 @@ def localization_without_a_f(g, masks):
 
 class TestLocalizationTables:
     def test_oracle_rows_are_localize_supports(self, localization_graphs):
+        # localize(I_c(G), F) reads only the induced subgraph on F, which
+        # vertices of F have an edge leaving F, and whether an edge lies
+        # outside F, so rows with equal inputs share one reference
+        reference = {}
         for g in localization_graphs:
             I = complementary_edge_ideal(g)
+            adj = neighbour_masks(g)
             table = _localization_supports(I, np.arange(1, 1 << g.n))
+            got, want = [], []
             for mask, row in enumerate(table, start=1):
                 fs = [i for i in range(g.n) if mask >> i & 1]
-                want = {
-                    sum(1 << fs[pos] for pos in u.support)
-                    for u in localize(I, fs).generators
-                }
-                assert set(np.flatnonzero(row).tolist()) == want, (str(g), fs)
+                key = (
+                    induced_subgraph(g, fs)[0],
+                    tuple(adj[v] & ~mask != 0 for v in fs),
+                    any(not (mask >> i & 1 or mask >> j & 1) for i, j in g.edges),
+                )
+                if key not in reference:
+                    reference[key] = [u.support for u in localize(I, fs).generators]
+                got.append(set(np.flatnonzero(row).tolist()))
+                want.append({sum(1 << fs[pos] for pos in support) for support in reference[key]})
+            assert got == want, str(g)
 
     def test_wrong_formula_reports_subsets_by_size_then_lex(self, monkeypatch):
         # the class record keeps the comparison, so start from an empty one
@@ -442,9 +455,20 @@ class TestSweep:
                 assert set(run_graph_checks(copy, cfg).summary.values()) == {True}
             assert scanned == Counter(power(I, k) for k in (1, 2, 3))
 
-    def test_a_warm_labeled_graph_reads_each_record_entry_once(self, monkeypatch):
-        # ass, persistence and v all read the scan of each power; a labeled
-        # graph reads it from its class record once per power
+    @pytest.mark.parametrize(
+        "checks, shared",
+        [
+            pytest.param(checks, shared, id=checks)
+            for checks, shared in (
+                ("ass,persistence,v", "prime_colon_witnesses"),
+                ("reg,depth-monotone,linear,betti-field-independence", "reg_pd_depth"),
+            )
+        ],
+    )
+    def test_a_warm_labeled_graph_reads_each_record_entry_once(self, checks, shared, monkeypatch):
+        # ass, persistence and v all read the scan of each power, and reg and
+        # depth-monotone its (reg, pd, depth); a labeled graph reads each
+        # from its class record once per power
         class CountingRecord(dict):
             def __getitem__(self, key):
                 reads[key] += 1
@@ -454,13 +478,13 @@ class TestSweep:
         monkeypatch.setattr(
             compedge.verify, "_class_memo", lambda cls: records.setdefault(cls, CountingRecord())
         )
-        cfg = SweepConfig(k_max=3, checks=("ass", "persistence", "v"))
+        cfg = SweepConfig(k_max=3, checks=tuple(checks.split(",")))
         run_graph_checks(cycle_graph(4), cfg)
         reads.clear()
         rpt = run_graph_checks(Graph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)]), cfg)
         assert set(rpt.summary.values()) == {True}
         assert max(reads.values()) == 1
-        assert sum(n for key, n in reads.items() if key[0] == "prime_colon_witnesses") == 3
+        assert sum(n for key, n in reads.items() if key[0] == shared) == 3
 
     def test_a_labeled_graph_looks_its_class_up_once(self):
         new_process()
