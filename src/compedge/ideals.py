@@ -15,13 +15,13 @@ over the generator matrices.
 
 The oracles that scan the divisor box of an ideal all read one table,
 :func:`divisor_counts`, the number of minimal generators dividing each box
-monomial.  Every size limit lives here.  One guards every such table: a box
-of more than ``BOX_CELL_LIMIT`` cells raises :class:`LimitExceededError`;
-the Betti kernel also refuses an lcm lattice of more than
-``DEFAULT_LATTICE_LIMIT`` points.  The limits are read at call time, so a
-caller lowers one by setting it here, and every cached result is keyed by
-the :func:`limits` in force.  A function of one ideal is cached only
-through :func:`cached_per_ideal`.
+monomial, built in place by slab-wise prefix sums.  Every size limit lives
+here.  One guards every such table: a box of more than ``BOX_CELL_LIMIT``
+cells raises :class:`LimitExceededError`; the Betti kernel also refuses an
+lcm lattice of more than ``DEFAULT_LATTICE_LIMIT`` points.  The limits are
+read at call time, so a caller lowers one by setting it here, and every
+cached result is keyed by the :func:`limits` in force.  A function of one
+ideal is cached only through :func:`cached_per_ideal`.
 
 Squarefree generating sets held as vertex bitmasks, many at once, are
 minimalized by :func:`minimal_supports` into one boolean table; minimal
@@ -526,11 +526,14 @@ def divisor_counts(I: MonomialIdeal, bound: Monomial) -> np.ndarray:
 
     Returns an unsigned int array of shape (bound_1+1, ..., bound_n+1) whose
     cell at index a counts the minimal generators of I that divide x^a.
-    Each generator inside the box is added at its own cell, and one
-    cumulative sum per axis carries it to every cell above it.  Membership
-    of x^a in I is ``C[a] > 0``; the witness scans and the lcm lattice read
-    the same table.  A box of more than ``BOX_CELL_LIMIT`` cells raises
-    :class:`LimitExceededError` before anything is allocated.
+    Each generator inside the box is added at its own cell, and a prefix sum
+    along each axis carries it to every cell above it.  The prefix sum runs
+    in place, one array add per slab of the axis (the cells with one value
+    of a_axis) rather than a walk along the axis's short rows, and makes no
+    temporary of the box's size.  Membership of x^a in I is ``C[a] > 0``;
+    the witness scans and the lcm lattice read the same table.  A box of
+    more than ``BOX_CELL_LIMIT`` cells raises :class:`LimitExceededError`
+    before anything is allocated.
     """
     if bound.ambient != I.ambient:
         raise ValueError("ambient mismatch")
@@ -541,8 +544,11 @@ def divisor_counts(I: MonomialIdeal, bound: Monomial) -> np.ndarray:
     gens = I.exponents
     inside = gens[(gens <= np.array(bound.exponents)).all(axis=1)]
     np.add.at(counts, tuple(inside.T), 1)
-    for axis in range(counts.ndim):
-        np.cumsum(counts, axis=axis, dtype=dtype, out=counts)
+    for axis, length in enumerate(shape):
+        # slab j: the cells with a_axis = j, a (before, after) view of counts
+        slabs = counts.reshape(math.prod(shape[:axis]), length, -1).swapaxes(0, 1)
+        for below, slab in itertools.pairwise(slabs):
+            np.add(slab, below, out=slab)
     return counts
 
 

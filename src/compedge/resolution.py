@@ -30,6 +30,7 @@ observable.  The exact linear-quotients search lives here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -243,13 +244,21 @@ def _lcm_lattice(counts: np.ndarray) -> np.ndarray:
     divisor box of the generator lcm.  A box cell a is such a join exactly
     when some generator divides x^a and, for every i with a_i > 0, some
     generator below a has i-th exponent a_i, i.e. C[a] > C[a - e_i].
+
+    Per axis, x^(a - e_i) is the cell one axis stride before a in the flat
+    table, so one contiguous comparison covers every cell; on the slab
+    a_i = 0 of the (before, axis, after) view, where that cell is another
+    row's, the test is set true.
     """
+    shape = counts.shape
     keep = counts > 0
-    for axis in range(counts.ndim):
-        up = [slice(None)] * counts.ndim
-        down = [slice(None)] * counts.ndim
-        up[axis], down[axis] = slice(1, None), slice(None, -1)
-        keep[tuple(up)] &= counts[tuple(up)] > counts[tuple(down)]
+    flat = counts.reshape(-1)
+    above = np.empty(flat.size, dtype=bool)
+    for axis, length in enumerate(shape):
+        stride = math.prod(shape[axis + 1 :])
+        np.greater(flat[stride:], flat[:-stride], out=above[stride:])
+        above.reshape(-1, length, stride)[:, 0] = True
+        keep &= above.reshape(shape)
     points = np.argwhere(keep)
     limit = ideals.DEFAULT_LATTICE_LIMIT
     if len(points) > limit:

@@ -161,7 +161,8 @@ def _prime_colon_witnesses(I: MonomialIdeal) -> _Witnesses:
     member = (counts > 0).reshape(-1)
     strides = np.array(counts.strides, dtype=np.int64) // counts.itemsize
     cap = bound.exponents
-    degree = sum(np.ogrid[tuple(slice(0, e + 1) for e in cap)])
+    # the smallest dtype that holds the top degree: a byte a cell on most boxes
+    degree = sum(np.indices(counts.shape, dtype=np.min_scalar_type(sum(cap)), sparse=True))
     u = np.flatnonzero(~member & (degree >= I.indeg - 1).reshape(-1))
     coords = np.unravel_index(u, counts.shape)
     fmask = np.zeros(u.size, dtype=np.int64)
@@ -339,7 +340,7 @@ def _symbolic_equals_ordinary(I: MonomialIdeal, Ik: MonomialIdeal, k: int) -> bo
     """
     n = I.ambient
     ordinary = divisor_counts(Ik, Monomial((k,) * n)) > 0
-    axes = np.ogrid[(slice(0, k + 1),) * n]
+    axes = np.indices((k + 1,) * n, dtype=np.min_scalar_type(n * k), sparse=True)
     symbolic = np.ones_like(ordinary)
     for F in minimal_primes_squarefree(I):
         symbolic &= sum(axes[i] for i in F) >= k

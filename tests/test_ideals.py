@@ -1,10 +1,11 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import compedge.ideals
@@ -57,6 +58,45 @@ def divisors(u):
 
 def paw():
     return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+
+def divisor_counts_reference(I, bound):
+    """The divisor-count table built with one ``np.cumsum`` per axis, as
+    :func:`divisor_counts` did before its in-place slab sums."""
+    shape = tuple(e + 1 for e in bound.exponents)
+    dtype = np.min_scalar_type(len(I.exponents))
+    counts = np.zeros(shape, dtype=dtype)
+    gens = I.exponents
+    inside = gens[(gens <= np.array(bound.exponents)).all(axis=1)]
+    np.add.at(counts, tuple(inside.T), 1)
+    for axis in range(counts.ndim):
+        np.cumsum(counts, axis=axis, dtype=dtype, out=counts)
+    return counts
+
+
+def assert_table_matches_reference(I, bound):
+    got, want = divisor_counts(I, bound), divisor_counts_reference(I, bound)
+    assert got.dtype == want.dtype, str(I)
+    assert np.array_equal(got, want), str(I)
+
+
+# an ideal in up to 8 variables, either a few random generators or a prime
+# power (P_F^k has more than 255 generators when |F| = 8 and k = 4), with a
+# bound whose exponents, from 0 to 4, may leave generators outside the box
+# and give axes of length 1
+table_inputs = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.one_of(
+            st.lists(
+                st.tuples(*([st.integers(0, 3)] * n)).map(Monomial), min_size=1, max_size=8
+            ).map(lambda gens: ideal(gens, n)),
+            st.tuples(st.sets(st.integers(0, n - 1), min_size=1), st.integers(1, 4)).map(
+                lambda fk: prime_power(fk[0], fk[1], n)
+            ),
+        ),
+        st.tuples(*([st.integers(0, 4)] * n)).map(Monomial),
+    )
+)
 
 
 small_ideals = st.integers(1, 4).flatmap(
@@ -322,6 +362,37 @@ class TestMembership:
         counts = divisor_counts(I, bound)
         for u in divisors(bound):
             assert counts[u.exponents] == sum(g.divides(u) for g in I.generators)
+
+    @given(table_inputs)
+    @example((ideal([Monomial((2,))], 1), Monomial((3,))))
+    @example((prime_power(range(8), 4, 8), Monomial((4,) * 8)))
+    def test_divisor_counts_agree_with_reference(self, case):
+        I, bound = case
+        assert_table_matches_reference(I, bound)
+
+    def test_divisor_counts_agree_with_reference_on_census_powers(self, edged_classes):
+        ideals = [
+            power(complementary_edge_ideal(g), k)
+            for n in (3, 4, 5)
+            for g in edged_classes[n]
+            for k in (1, 2, 3)
+        ]
+        ideals += [power(complementary_edge_ideal(g), 4) for g in (cycle_graph(7), path_graph(7))]
+        for I in ideals:
+            assert_table_matches_reference(I, I.lcm_of_generators())
+
+    def test_divisor_counts_memory_is_the_table(self):
+        # the prefix sums run in place: no temporary of the box's size
+        I = power(complementary_edge_ideal(cycle_graph(7)), 5)
+        bound = I.lcm_of_generators()
+        tracemalloc.start()
+        try:
+            counts = divisor_counts(I, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (6,) * 7 and counts.dtype == np.uint16
+        assert peak <= 1.1 * counts.nbytes + (64 << 10)
 
 
 class TestProductPower:

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -875,6 +876,24 @@ class TestWitnessKernel:
         depth_zero_oracle(fresh)
         info = compedge.verify._prime_colon_witnesses.cache_info()
         assert (info.hits, info.misses) == (2, 1)
+
+    def test_degree_slab_holds_degrees_past_255(self):
+        # the only witness, x1^299, lies past what a uint8 degree slab holds
+        I = ideal([Monomial((300,))], 1)
+        assert ass_oracle(I) == {frozenset({0})}
+        assert depth_zero_oracle(I) == (True, Monomial((299,)))
+
+    def test_scan_memory_stays_small(self):
+        # 280k cells: the uint16 table, its membership mask and a uint8
+        # degree slab take 1.1 MB of the peak
+        I = power(complementary_edge_ideal(cycle_graph(7)), 5)
+        tracemalloc.start()
+        try:
+            _prime_colon_witnesses.__wrapped__(I)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_500_000
 
     def test_shared_witness_arrays_are_read_only(self):
         found = _prime_colon_witnesses(complementary_edge_ideal(cycle_graph(5)))
